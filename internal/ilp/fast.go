@@ -27,8 +27,13 @@ type srow struct {
 	rhs rat64
 }
 
-// at returns the value in column c (zero when absent).
+// at returns the value in column c (zero when absent). Most rows are
+// short and miss c entirely, which the range check settles without a
+// search.
 func (r *srow) at(c int32) rat64 {
+	if n := len(r.col); n == 0 || c < r.col[0] || c > r.col[n-1] {
+		return r64Zero
+	}
 	if i, ok := slices.BinarySearch(r.col, c); ok {
 		return r.val[i]
 	}
@@ -99,58 +104,93 @@ func (r *Reuse) put(key []int64, rows []srow, basis []int, ncols int) {
 	r.valid = true
 }
 
+// work is the scratch state of one solve, shared by both simplex phases
+// and every branch-and-bound node. Solves take it from workPool, so the
+// merge and gather buffers keep their capacity from one solve to the
+// next instead of being regrown.
+type work struct {
+	pivots int // accumulated across phases and B&B nodes
+	widest int // longest constraint row a pivot has written; tests check their models fill in
+
+	// merge scratch of subMul.
+	scol []int32
+	sval []rat64
+
+	// The entering column as gathered by column: the rows holding a
+	// nonzero entry, ascending, and those entries.
+	grow []int32
+	gval []rat64
+}
+
+var workPool = sync.Pool{New: func() any { return new(work) }}
+
+// getWork takes a workspace from the pool with its pivot count reset.
+func getWork() *work {
+	w := workPool.Get().(*work)
+	w.pivots, w.widest = 0, 0
+	return w
+}
+
 // ftab is the sparse fast tableau.
 type ftab struct {
 	rows  []srow
 	cost  srow
 	basis []int
 	ncols int
-
-	pivots *int // accumulated across phases and B&B nodes
-
-	// merge scratch, reused across subMul calls.
-	scol []int32
-	sval []rat64
+	w     *work
 }
 
-// subMul computes dst -= f·src (f nonzero), merging the sorted sparse
-// rows. Returns errOverflow when any product or sum leaves int64.
+// gallop returns the first index k >= lo with col[k] >= c. It probes
+// lo, lo+1, lo+3, lo+7, ... and binary-searches the last bracket, so a
+// column near lo costs a few probes however long col is.
+func gallop(col []int32, lo int, c int32) int {
+	hi, step := lo, 1
+	for hi < len(col) && col[hi] < c {
+		lo = hi + 1
+		hi += step
+		step <<= 1
+	}
+	hi = min(hi, len(col))
+	k, _ := slices.BinarySearch(col[lo:hi], c)
+	return lo + k
+}
+
+// subMul computes dst -= f·src (f nonzero). src is the short pivot row
+// and dst usually much longer, so the merge walks src, finds each of its
+// columns in dst by galloping, and moves the untouched stretch of dst
+// before it with one bulk append; arithmetic runs only on src's entries.
+// Returns errOverflow when any product or sum leaves int64.
 func (t *ftab) subMul(dst, src *srow, f rat64) error {
-	cols := t.scol[:0]
-	vals := t.sval[:0]
-	i, j := 0, 0
-	for i < len(dst.col) || j < len(src.col) {
-		var c int32
-		var v rat64
-		switch {
-		case j >= len(src.col) || (i < len(dst.col) && dst.col[i] < src.col[j]):
-			c, v = dst.col[i], dst.val[i]
-			i++
-		case i >= len(dst.col) || src.col[j] < dst.col[i]:
-			fv, ok := f.mul(src.val[j])
-			if !ok || fv.n == math.MinInt64 {
-				return errOverflow
-			}
-			c, v = src.col[j], rat64{-fv.n, fv.d}
-			j++
-		default:
-			fv, ok := f.mul(src.val[j])
-			if !ok {
-				return errOverflow
-			}
-			nv, ok := dst.val[i].sub(fv)
-			if !ok {
-				return errOverflow
-			}
-			c, v = dst.col[i], nv
-			i++
-			j++
+	cols, vals := t.w.scol[:0], t.w.sval[:0]
+	i := 0
+	for j, c := range src.col {
+		k := gallop(dst.col, i, c)
+		cols = append(cols, dst.col[i:k]...)
+		vals = append(vals, dst.val[i:k]...)
+		fv, ok := f.mul(src.val[j])
+		if !ok {
+			return errOverflow
 		}
-		if v.n != 0 {
+		if k < len(dst.col) && dst.col[k] == c {
+			nv, ok := dst.val[k].sub(fv)
+			if !ok {
+				return errOverflow
+			}
+			if nv.n != 0 {
+				cols = append(cols, c)
+				vals = append(vals, nv)
+			}
+			i = k + 1
+		} else {
+			// Fill-in. fv is nonzero as a product of nonzeros, and mul
+			// never returns a MinInt64 numerator, so negating it is exact.
 			cols = append(cols, c)
-			vals = append(vals, v)
+			vals = append(vals, rat64{-fv.n, fv.d})
+			i = k
 		}
 	}
+	cols = append(cols, dst.col[i:]...)
+	vals = append(vals, dst.val[i:]...)
 	fr, ok := f.mul(src.rhs)
 	if !ok {
 		return errOverflow
@@ -160,11 +200,25 @@ func (t *ftab) subMul(dst, src *srow, f rat64) error {
 	}
 	dst.col = append(dst.col[:0], cols...)
 	dst.val = append(dst.val[:0], vals...)
-	t.scol, t.sval = cols, vals
+	t.w.scol, t.w.sval = cols, vals
 	return nil
 }
 
-// pivot makes column c basic in row r.
+// column gathers the nonzero entries of column c over the constraint
+// rows into the workspace, in ascending row order.
+func (t *ftab) column(c int32) {
+	w := t.w
+	w.grow, w.gval = w.grow[:0], w.gval[:0]
+	for r := range t.rows {
+		if a := t.rows[r].at(c); a.n != 0 {
+			w.grow = append(w.grow, int32(r))
+			w.gval = append(w.gval, a)
+		}
+	}
+}
+
+// pivot makes column c basic in row r. The column must have been
+// gathered by column(c) since the last pivot.
 func (t *ftab) pivot(r int, c int32) error {
 	prow := &t.rows[r]
 	p := prow.at(c)
@@ -180,15 +234,14 @@ func (t *ftab) pivot(r int, c int32) error {
 	if prow.rhs, ok = prow.rhs.mul(inv); !ok {
 		return errOverflow
 	}
-	for i := range t.rows {
-		if i == r {
+	for k, i := range t.w.grow {
+		if int(i) == r {
 			continue
 		}
-		if a := t.rows[i].at(c); a.n != 0 {
-			if err := t.subMul(&t.rows[i], prow, a); err != nil {
-				return err
-			}
+		if err := t.subMul(&t.rows[i], prow, t.w.gval[k]); err != nil {
+			return err
 		}
+		t.w.widest = max(t.w.widest, len(t.rows[i].col))
 	}
 	if a := t.cost.at(c); a.n != 0 {
 		if err := t.subMul(&t.cost, prow, a); err != nil {
@@ -217,6 +270,7 @@ func (t *ftab) priceOut() error {
 // run performs primal simplex pivots with Bland's rule until optimality
 // or unboundedness. The cost row must already be priced out.
 func (t *ftab) run() (Status, error) {
+	w := t.w
 	for piv := 0; piv < maxPivots; piv++ {
 		// Entering: smallest index with positive reduced cost (the cost
 		// row is sorted by column, so the first positive entry wins).
@@ -236,13 +290,15 @@ func (t *ftab) run() (Status, error) {
 			return Optimal, nil
 		}
 		// Leaving: min ratio rhs/a over a > 0; ties by smallest basis var.
+		// The gathered column is reused by the pivot.
+		t.column(enter)
 		leave := -1
 		var best rat64
-		for r := range t.rows {
-			a := t.rows[r].at(enter)
+		for k, a := range w.gval {
 			if a.sign() <= 0 {
 				continue
 			}
+			r := int(w.grow[k])
 			inv, ok := mkRat64(a.d, a.n)
 			if !ok {
 				return 0, errOverflow
@@ -265,7 +321,7 @@ func (t *ftab) run() (Status, error) {
 		if err := t.pivot(leave, enter); err != nil {
 			return 0, err
 		}
-		*t.pivots++
+		w.pivots++
 	}
 	panic("ilp: simplex exceeded pivot budget (cycling bug)")
 }
@@ -274,32 +330,34 @@ func (t *ftab) run() (Status, error) {
 // successful phase 1, dropping redundant rows, then truncates the
 // artificial columns.
 func (t *ftab) evictArtificials(firstArt int) error {
-	// Pivot first, compact after: pivots rewrite rows in place, so kept
-	// rows must stay aliased to t.rows until all pivots are done.
-	keep := make([]int, 0, len(t.rows))
+	// Pivot first, compact after: pivots rewrite rows in place, so every
+	// row must stay at its index until all pivots are done. A dropped
+	// row is marked by a negative basis entry.
 	for r := range t.rows {
 		if t.basis[r] < firstArt {
-			keep = append(keep, r)
 			continue
 		}
 		// Artificial basic at value 0 (phase 1 succeeded): pivot on the
 		// smallest non-artificial column with nonzero coefficient, else
 		// the row is redundant and dropped.
 		if cols := t.rows[r].col; len(cols) > 0 && int(cols[0]) < firstArt {
+			t.column(cols[0])
 			if err := t.pivot(r, cols[0]); err != nil {
 				return err
 			}
-			keep = append(keep, r)
+		} else {
+			t.basis[r] = -1
 		}
 	}
-	rows := make([]srow, len(keep))
-	basis := make([]int, len(keep))
-	for i, r := range keep {
-		rows[i] = t.rows[r]
-		basis[i] = t.basis[r]
+	kept := 0
+	for r := range t.rows {
+		if t.basis[r] >= 0 {
+			t.rows[kept], t.basis[kept] = t.rows[r], t.basis[r]
+			kept++
+		}
 	}
-	t.rows = rows
-	t.basis = basis
+	clear(t.rows[kept:])
+	t.rows, t.basis = t.rows[:kept], t.basis[:kept]
 	t.ncols = firstArt
 	for r := range t.rows {
 		row := &t.rows[r]
@@ -323,6 +381,14 @@ type fastLPResult struct {
 // infeasible).
 func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, senses []Sense, ok bool, err error) {
 	n := m.NumVars()
+	nrows := len(m.cons)
+	for _, inf := range upinf {
+		if !inf {
+			nrows++
+		}
+	}
+	rows = make([]srow, 0, nrows)
+	senses = make([]Sense, 0, nrows)
 	for _, c := range m.cons {
 		row := srow{
 			col: make([]int32, len(c.terms.vars), len(c.terms.vars)+2),
@@ -389,11 +455,12 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 }
 
 // fastLP solves the LP relaxation under the given bounds in int64
-// arithmetic. A non-nil reuse with a matching key skips standard-form
-// construction and phase 1 by restoring the cached feasible tableau.
-func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKey []int64, pivots *int) (fastLPResult, error) {
+// arithmetic, counting pivots in w. A non-nil reuse with a matching key
+// skips standard-form construction and phase 1 by restoring the cached
+// feasible tableau.
+func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKey []int64, w *work) (fastLPResult, error) {
 	n := m.NumVars()
-	t := &ftab{pivots: pivots}
+	t := &ftab{w: w}
 	warm := false
 	if reuse != nil {
 		if rows, basis, ncols, ok := reuse.take(reuseKey); ok {
@@ -421,6 +488,7 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 			}
 		}
 		t.ncols = n + nSlack + nArt
+		t.basis = make([]int, 0, len(rows))
 		slackAt, artAt := n, n+nSlack
 		for i := range rows {
 			basic := -1
@@ -525,16 +593,17 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 // returns errOverflow when any intermediate value leaves the range; the
 // dispatcher then falls back to the big.Rat oracle.
 func (m *Model) fastSolve(reuse *Reuse, reuseKey []int64) (*Solution, error) {
-	pivots := 0
+	w := getWork()
+	defer workPool.Put(w)
 	lower := slices.Clone(m.lower)
 	upper := slices.Clone(m.upper)
 	upinf := slices.Clone(m.upinf)
-	root, err := m.fastLP(lower, upper, upinf, reuse, reuseKey, &pivots)
+	root, err := m.fastLP(lower, upper, upinf, reuse, reuseKey, w)
 	if err != nil {
 		return nil, err
 	}
 	if root.status != Optimal {
-		return &Solution{Status: root.status, Nodes: 1, Pivots: pivots}, nil
+		return &Solution{Status: root.status, Nodes: 1, Pivots: w.pivots}, nil
 	}
 	var best *fastLPResult
 	nodes := 0
@@ -591,7 +660,7 @@ func (m *Model) fastSolve(reuse *Reuse, reuseKey []int64) (*Solution, error) {
 			dUpinf[branch] = false
 		}
 		if dLower[branch].cmp(dUpper[branch]) <= 0 {
-			lp2, err := m.fastLP(dLower, dUpper, dUpinf, nil, nil, &pivots)
+			lp2, err := m.fastLP(dLower, dUpper, dUpinf, nil, nil, w)
 			if err != nil {
 				return err
 			}
@@ -613,7 +682,7 @@ func (m *Model) fastSolve(reuse *Reuse, reuseKey []int64) (*Solution, error) {
 			uLower[branch] = lo
 		}
 		if uUpinf[branch] || uLower[branch].cmp(uUpper[branch]) <= 0 {
-			lp2, err := m.fastLP(uLower, uUpper, uUpinf, nil, nil, &pivots)
+			lp2, err := m.fastLP(uLower, uUpper, uUpinf, nil, nil, w)
 			if err != nil {
 				return err
 			}
@@ -629,9 +698,9 @@ func (m *Model) fastSolve(reuse *Reuse, reuseKey []int64) (*Solution, error) {
 		return nil, err
 	}
 	if best == nil {
-		return &Solution{Status: Infeasible, Nodes: nodes, Pivots: pivots}, nil
+		return &Solution{Status: Infeasible, Nodes: nodes, Pivots: w.pivots}, nil
 	}
-	return best.solution(nodes, pivots), nil
+	return best.solution(nodes, w.pivots), nil
 }
 
 // solution converts a fast LP result to the public exact form.

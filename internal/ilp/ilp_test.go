@@ -3,7 +3,10 @@ package ilp
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"paratime/internal/parallel"
 )
 
 func rat(n, d int64) *big.Rat { return big.NewRat(n, d) }
@@ -333,6 +336,69 @@ func TestILPRandomVsBruteForce(t *testing.T) {
 	}
 }
 
+// TestConcurrentSolvesMatchSequential runs different models, and
+// objective variants sharing one Reuse, through parallel.For with more
+// workers than a 1-CPU host has cores, so the pooled workspaces and the
+// shared snapshot are used from several goroutines at once under -race.
+// Every solution must equal its sequential solve.
+func TestConcurrentSolvesMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	var models []*Model
+	for i := 0; i < 6; i++ {
+		models = append(models, loopNestIPETModel(rng, 1+rng.Intn(3), 2, 1, 2))
+		models = append(models, randomIPETModel(rng))
+	}
+	// Variants of one structure differ only in the objective, so they
+	// may share a warm-start snapshot under one key.
+	base := loopNestIPETModel(rng, 2, 2, 1, 3)
+	var shared []*Model
+	for i := 0; i < 8; i++ {
+		v := base.Clone()
+		obj := NewLin()
+		for x := 0; x < v.NumVars(); x++ {
+			obj.AddInt(Var(x), int64(1+rng.Intn(50)))
+		}
+		v.SetObjective(obj)
+		shared = append(shared, v)
+	}
+	want := make([]*Solution, len(models)+len(shared))
+	for i, m := range append(slices.Clone(models), shared...) {
+		sol, err := m.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = sol
+	}
+	var reuse Reuse
+	got := make([]*Solution, len(want))
+	errs := make([]error, len(want))
+	parallel.For(4, len(want), func(i int) {
+		if i < len(models) {
+			got[i], errs[i] = models[i].Solve()
+			return
+		}
+		got[i], errs[i] = shared[i-len(models)].SolveWithReuse(&reuse, []int64{1})
+	})
+	for i := range want {
+		if errs[i] != nil {
+			t.Fatalf("solve %d: %v", i, errs[i])
+		}
+		m := shared[0]
+		if i < len(models) {
+			m = models[i]
+			// A warm solve skips phase 1, so only cold solves must
+			// match the sequential pivot count.
+			if got[i].Pivots != want[i].Pivots {
+				t.Fatalf("solve %d: pivots %d, sequential %d", i, got[i].Pivots, want[i].Pivots)
+			}
+		}
+		assertSolutionsEqual(t, got[i], want[i], m)
+	}
+	if hits, misses := reuse.Stats(); hits+misses != uint64(len(shared)) || hits == 0 {
+		t.Fatalf("shared reuse: hits %d misses %d over %d solves", hits, misses, len(shared))
+	}
+}
+
 func BenchmarkILPMediumIPETShape(b *testing.B) {
 	// A chain of diamonds, shaped like an IPET model: flow conservation
 	// plus bounds.
@@ -360,4 +426,21 @@ func BenchmarkILPMediumIPETShape(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkILPLargeIPETShape times one cold solve of a loop-nest IPET
+// model the size of perfbench's large task (562 rows, 963 columns with
+// slacks and artificials; 8 nests of depth 2 with 11 persistence
+// events per loop), the kernel alone without the rest of the analysis.
+func BenchmarkILPLargeIPETShape(b *testing.B) {
+	m := loopNestIPETModel(rand.New(rand.NewSource(7)), 8, 2, 1, 11)
+	pivots := 0
+	for b.Loop() {
+		sol, err := m.Solve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		pivots = sol.Pivots
+	}
+	b.ReportMetric(float64(pivots), "pivots/op")
 }

@@ -63,6 +63,125 @@ func randomIPETModel(rng *rand.Rand) *Model {
 	return m
 }
 
+// loopNestGen builds the control-flow graph of a loop-nest task, the
+// shape behind IPET's long tableau rows: nested loops whose bodies are
+// chains of diamonds, with one bound row per loop over its entry edge.
+type loopNestGen struct {
+	rng    *rand.Rand
+	blocks int
+	edges  [][2]int
+	loops  []genLoop
+}
+
+// genLoop is one natural loop: its entry and back edge, its bound, and
+// the blocks of its body (inner loops included).
+type genLoop struct {
+	entry, back int
+	bound       int64
+	body        []int
+}
+
+func (g *loopNestGen) block() int {
+	g.blocks++
+	return g.blocks - 1
+}
+
+func (g *loopNestGen) edge(from, to int) int {
+	g.edges = append(g.edges, [2]int{from, to})
+	return len(g.edges) - 1
+}
+
+// loop emits a loop entered from block from: a header, a body of
+// diamonds with an inner loop when depth > 1, the back edge and the
+// exit block, which it returns.
+func (g *loopNestGen) loop(from, depth, diamonds int) int {
+	first := g.blocks
+	h := g.block()
+	entry := g.edge(from, h)
+	cur := g.block()
+	g.edge(h, cur)
+	for d := 0; d < diamonds; d++ {
+		a, b, j := g.block(), g.block(), g.block()
+		g.edge(cur, a)
+		g.edge(cur, b)
+		g.edge(a, j)
+		g.edge(b, j)
+		cur = j
+	}
+	if depth > 1 {
+		cur = g.loop(cur, depth-1, diamonds)
+	}
+	back := g.edge(cur, h)
+	body := make([]int, 0, g.blocks-first)
+	for b := first; b < g.blocks; b++ {
+		body = append(body, b)
+	}
+	g.loops = append(g.loops, genLoop{entry: entry, back: back, bound: int64(2 + g.rng.Intn(30)), body: body})
+	exit := g.block()
+	g.edge(h, exit)
+	return exit
+}
+
+// loopNestIPETModel builds the IPET model of a seeded loop-nest task the
+// way ipet.Skeleton.Solve does: block and edge count variables, in and
+// out flow rows per block, one bound row per loop, and events events per
+// loop, each a persistence variable capped by the loop's entries and by
+// one body block's count. Long nests make the tableau rows fill in to
+// dozens of entries, which the small diamond chains never do.
+func loopNestIPETModel(rng *rand.Rand, nests, depth, diamonds, events int) *Model {
+	g := &loopNestGen{rng: rng}
+	cur := g.block()
+	for i := 0; i < nests; i++ {
+		cur = g.loop(cur, depth, diamonds)
+	}
+	exit := cur
+	m := NewModel()
+	bv := make([]Var, g.blocks)
+	for b := range bv {
+		bv[b] = m.AddIntVar("")
+	}
+	ev := make([]Var, len(g.edges))
+	for e := range ev {
+		ev[e] = m.AddIntVar("")
+	}
+	in := make([]*Lin, g.blocks)
+	out := make([]*Lin, g.blocks)
+	for b := range bv {
+		in[b] = NewLin().AddInt(bv[b], 1)
+		out[b] = NewLin().AddInt(bv[b], 1)
+	}
+	for e, fromTo := range g.edges {
+		out[fromTo[0]].AddInt(ev[e], -1)
+		in[fromTo[1]].AddInt(ev[e], -1)
+	}
+	obj := NewLin()
+	for b := range bv {
+		var inRHS, outRHS int64
+		if b == 0 {
+			inRHS = 1
+		}
+		if b == exit {
+			outRHS = 1
+		}
+		m.AddConstraintInt("", in[b], EQ, inRHS)
+		m.AddConstraintInt("", out[b], EQ, outRHS)
+		obj.AddInt(bv[b], int64(1+rng.Intn(40)))
+	}
+	for _, l := range g.loops {
+		m.AddConstraintInt("", NewLin().AddInt(ev[l.back], 1).AddInt(ev[l.entry], -(l.bound-1)), LE, 0)
+	}
+	for _, l := range g.loops {
+		for i := 0; i < events; i++ {
+			mv := m.AddIntVar("")
+			m.AddConstraintInt("", NewLin().AddInt(mv, 1).AddInt(ev[l.entry], -1), LE, 0)
+			m.AddConstraintInt("", NewLin().AddInt(mv, 1).AddInt(bv[l.body[rng.Intn(len(l.body))]], -1), LE, 0)
+			obj.AddInt(mv, int64(10+rng.Intn(90)))
+		}
+	}
+	m.SetObjective(obj)
+	return m
+}
+
 func TestFastMatchesOracleIPETShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 80; trial++ {
@@ -82,6 +201,59 @@ func TestFastMatchesOracleIPETShapes(t *testing.T) {
 		if fast.Pivots != oracle.Pivots {
 			t.Fatalf("trial %d: pivots fast %d, oracle %d\n%s", trial, fast.Pivots, oracle.Pivots, m)
 		}
+	}
+}
+
+// TestFastMatchesOracleLoopNests pins the fast path against the oracle
+// on loop-nest IPET models of 300 rows and more, where pivots rewrite
+// rows of 50 entries and more. The diamond chains above never build
+// such rows, so only this suite reaches the bulk-copy row update on
+// long rows.
+func TestFastMatchesOracleLoopNests(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 6; trial++ {
+		m := loopNestIPETModel(rng, 5+rng.Intn(2), 2+rng.Intn(2), 2, 6+rng.Intn(3))
+		if m.NumCons() < 300 {
+			t.Fatalf("trial %d: %d rows, want at least 300", trial, m.NumCons())
+		}
+		w := new(work)
+		if _, err := m.fastLP(m.lower, m.upper, m.upinf, nil, nil, w); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if w.widest < 50 {
+			t.Fatalf("trial %d: widest updated row has %d entries, want at least 50", trial, w.widest)
+		}
+		fast, err := m.Solve()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if fast.FellBack {
+			t.Fatalf("trial %d: loop-nest model fell back to the oracle", trial)
+		}
+		oracle, err := m.SolveOracle()
+		if err != nil {
+			t.Fatalf("trial %d oracle: %v", trial, err)
+		}
+		assertSolutionsEqual(t, fast, oracle, m)
+		if fast.Pivots != oracle.Pivots {
+			t.Fatalf("trial %d: pivots fast %d, oracle %d", trial, fast.Pivots, oracle.Pivots)
+		}
+	}
+}
+
+// TestLoopNestPivotsGolden pins the pivot count of one seeded loop-nest
+// solve. Pivots are a deterministic work counter: any change to the
+// pivot rule, the column layout or the tie breaks moves it, and with it
+// the LP vertex that IPET reports its block and edge counts from.
+func TestLoopNestPivotsGolden(t *testing.T) {
+	m := loopNestIPETModel(rand.New(rand.NewSource(7)), 8, 2, 1, 11)
+	sol, err := m.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantPivots, wantNodes = 411, 1
+	if sol.Pivots != wantPivots || sol.Nodes != wantNodes || sol.FellBack {
+		t.Fatalf("pivots %d nodes %d fellBack %v, want %d %d false", sol.Pivots, sol.Nodes, sol.FellBack, wantPivots, wantNodes)
 	}
 }
 

@@ -48,7 +48,9 @@ func addOvf(a, b int64) (int64, bool) {
 	return s, true
 }
 
-// mulOvf returns a*b, reporting overflow.
+// mulOvf returns a*b, reporting overflow. A MinInt64 operand is always
+// rejected; a product of exactly MinInt64 is accepted. The 128-bit
+// product decides overflow without a division.
 func mulOvf(a, b int64) (int64, bool) {
 	if a == 0 || b == 0 {
 		return 0, true
@@ -56,11 +58,11 @@ func mulOvf(a, b int64) (int64, bool) {
 	if a == math.MinInt64 || b == math.MinInt64 {
 		return 0, false
 	}
-	p := a * b
-	if p/b != a {
+	hi, lo := bits.Mul64(abs64(a), abs64(b))
+	if hi != 0 || lo > 1<<63 || (lo == 1<<63 && (a < 0) == (b < 0)) {
 		return 0, false
 	}
-	return p, true
+	return a * b, true
 }
 
 // mkRat64 builds a reduced rat64 from n/d. MinInt64 components are
@@ -73,6 +75,12 @@ func mkRat64(n, d int64) (rat64, bool) {
 	}
 	if d < 0 {
 		n, d = -n, -d
+	}
+	if n == 0 {
+		return r64Zero, true
+	}
+	if d == 1 || n == 1 || n == -1 {
+		return rat64{n, d}, true // already reduced
 	}
 	g := gcd64(n, d)
 	return rat64{n / g, d / g}, true
@@ -151,10 +159,33 @@ func abs64(a int64) uint64 {
 }
 
 // cmp compares r with o exactly (no overflow possible).
-func (r rat64) cmp(o rat64) int { return cmpProd(r.n, o.d, o.n, r.d) }
+func (r rat64) cmp(o rat64) int {
+	if r.d == o.d {
+		switch {
+		case r.n < o.n:
+			return -1
+		case r.n > o.n:
+			return 1
+		}
+		return 0
+	}
+	return cmpProd(r.n, o.d, o.n, r.d)
+}
 
 // add returns r+o, reporting overflow.
 func (r rat64) add(o rat64) (rat64, bool) {
+	if r.d == 1 && o.d == 1 {
+		// Integer fast path, with the general path's verdicts: mulOvf
+		// rejects MinInt64 operands and mkRat64 a MinInt64 result.
+		if r.n == math.MinInt64 || o.n == math.MinInt64 {
+			return rat64{}, false
+		}
+		n, ok := addOvf(r.n, o.n)
+		if !ok || n == math.MinInt64 {
+			return rat64{}, false
+		}
+		return rat64{n, 1}, true
+	}
 	// n1/d1 + n2/d2 = (n1*(d2/g) + n2*(d1/g)) / (d1*(d2/g)) with g=gcd(d1,d2).
 	g := gcd64(r.d, o.d)
 	od := o.d / g
@@ -185,6 +216,14 @@ func (r rat64) sub(o rat64) (rat64, bool) {
 // mul returns r*o, reporting overflow. Cross-reduction keeps the
 // intermediate products as small as possible.
 func (r rat64) mul(o rat64) (rat64, bool) {
+	if r.d == 1 && o.d == 1 {
+		// Integer fast path: nothing to reduce, so no gcd and no division.
+		n, ok := mulOvf(r.n, o.n)
+		if !ok || n == math.MinInt64 {
+			return rat64{}, false
+		}
+		return rat64{n, 1}, true
+	}
 	g1 := gcd64(r.n, o.d)
 	g2 := gcd64(o.n, r.d)
 	n, ok1 := mulOvf(r.n/g1, o.n/g2)

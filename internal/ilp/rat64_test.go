@@ -72,3 +72,86 @@ func TestSolveNearMinInt64FallsBack(t *testing.T) {
 			oracle.Status, oracle.Value.RatString())
 	}
 }
+
+// FuzzRat64Arith checks add, sub, mul and cmp against big.Rat on
+// fuzzer-chosen operands. mode bit 0 (bit 1) forces a's (b's)
+// denominator to 1, so the integer fast path is fuzzed as hard as the
+// general one. When an operation reports ok, its result must be the
+// exact value, reduced, with d > 0 and a numerator above MinInt64 (whose
+// negation is a no-op). When it reports overflow, the exact
+// value must not fit, must have a MinInt64 numerator, or, for add and
+// sub of fractions, one of the cross-reduced intermediates
+// n1·(d2/g), n2·(d1/g), their sum or d1·(d2/g) must leave int64.
+func FuzzRat64Arith(f *testing.F) {
+	edges := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		1 << 31, 1<<31 - 1, -(1 << 31), 1 << 32, 1<<32 + 1, -(1 << 32)}
+	for i, a := range edges {
+		for j, b := range edges {
+			f.Add(a, int64(1), b, int64(1), uint8(3))
+			f.Add(a, int64(3), b, edges[(i+j)%len(edges)], uint8(0))
+			f.Add(a, int64(1<<31), b, int64(7), uint8(2))
+		}
+	}
+	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64, mode uint8) {
+		if mode&1 != 0 {
+			ad = 1
+		}
+		if mode&2 != 0 {
+			bd = 1
+		}
+		a, okA := mkRat64(an, ad)
+		b, okB := mkRat64(bn, bd)
+		if !okA || !okB {
+			return
+		}
+		ra, rb := a.Rat(), b.Rat()
+		if got, want := a.cmp(b), ra.Cmp(rb); got != want {
+			t.Fatalf("cmp(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		ops := []struct {
+			name  string
+			op    func(x, y rat64) (rat64, bool)
+			exact func(z, x, y *big.Rat) *big.Rat
+			cross bool
+		}{
+			{"add", rat64.add, (*big.Rat).Add, true},
+			{"sub", rat64.sub, (*big.Rat).Sub, true},
+			{"mul", rat64.mul, (*big.Rat).Mul, false},
+		}
+		for _, o := range ops {
+			want := o.exact(new(big.Rat), ra, rb)
+			got, ok := o.op(a, b)
+			if ok {
+				if got.d <= 0 || got.n == math.MinInt64 || gcd64(got.n, got.d) != 1 {
+					t.Fatalf("%s(%v, %v) = %v: not reduced with d > 0 and n > MinInt64", o.name, a, b, got)
+				}
+				if got.Rat().Cmp(want) != 0 {
+					t.Fatalf("%s(%v, %v) = %v, want %s", o.name, a, b, got, want.RatString())
+				}
+				continue
+			}
+			fits := want.Num().IsInt64() && want.Denom().IsInt64() && want.Num().Int64() != math.MinInt64
+			if fits && !(o.cross && crossOverflows(a, b, o.name == "sub")) {
+				t.Fatalf("%s(%v, %v) reported overflow, exact %s fits", o.name, a, b, want.RatString())
+			}
+		}
+	})
+}
+
+// crossOverflows reports whether an intermediate of the cross-reduced
+// sum a ± b leaves int64.
+func crossOverflows(a, b rat64, negate bool) bool {
+	bn := big.NewInt(b.n)
+	if negate {
+		bn.Neg(bn)
+	}
+	g := big.NewInt(gcd64(a.d, b.d))
+	ad, bd := big.NewInt(a.d), big.NewInt(b.d)
+	x := new(big.Int).Mul(big.NewInt(a.n), new(big.Int).Quo(bd, g))
+	y := new(big.Int).Mul(bn, new(big.Int).Quo(ad, g))
+	s := new(big.Int).Add(x, y)
+	d := new(big.Int).Mul(ad, new(big.Int).Quo(bd, g))
+	// mulOvf accepts a product of exactly MinInt64; mkRat64 rejects a
+	// MinInt64 sum before reducing it.
+	return !x.IsInt64() || !y.IsInt64() || !d.IsInt64() || !s.IsInt64() || s.Int64() == math.MinInt64
+}

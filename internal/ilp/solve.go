@@ -11,14 +11,15 @@ const maxNodes = 100_000
 // when the arithmetic fits, falling back to the exact big.Rat oracle on
 // overflow.
 func (m *Model) SolveLP() (*Solution, error) {
-	pivots := 0
-	res, err := m.fastLP(m.lower, m.upper, m.upinf, nil, nil, &pivots)
+	w := getWork()
+	defer workPool.Put(w)
+	res, err := m.fastLP(m.lower, m.upper, m.upinf, nil, nil, w)
 	switch {
 	case err == nil:
 		if res.status != Optimal {
-			return &Solution{Status: res.status, Nodes: 1, Pivots: pivots}, nil
+			return &Solution{Status: res.status, Nodes: 1, Pivots: w.pivots}, nil
 		}
-		return res.solution(1, pivots), nil
+		return res.solution(1, w.pivots), nil
 	case errors.Is(err, errOverflow):
 		sol, oerr := m.oracleSolveLP()
 		if sol != nil {
