@@ -53,3 +53,17 @@ func BenchmarkComputeWCETSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepareKey builds the Prepare memo key of every suite task
+// under the default system: the per-task, per-point cost the batch
+// engine pays on each memo lookup.
+func BenchmarkPrepareKey(b *testing.B) {
+	sys := core.DefaultSystem()
+	tasks := workload.Suite()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, task := range tasks {
+			_ = core.PrepareKey(task, sys)
+		}
+	}
+}

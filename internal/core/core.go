@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"strconv"
 	"strings"
 
 	"paratime/internal/cache"
@@ -283,16 +284,41 @@ func (a *Analysis) Clone() *Analysis {
 // ComputeWCET, so one prepared prefix serves every bus-arbiter or
 // pipeline sweep over the same task; Parallelism never changes results,
 // so memoized artefacts are shared across worker counts).
+//
+// The key is a process-local memo key, never persisted, so its bytes may
+// change between builds. Every variable-length part is length-prefixed,
+// which keeps it injective.
 func PrepareKey(task Task, sys SystemConfig) string {
-	var sb strings.Builder
-	sb.WriteString(task.Prog.Fingerprint())
-	sb.WriteByte('|')
-	sb.WriteString(task.Facts.Fingerprint())
-	fmt.Fprintf(&sb, "|%+v|%+v|", sys.Mem.L1I, sys.Mem.L1D)
+	prog, facts := task.Prog.Fingerprint(), task.Facts.Fingerprint()
+	b := make([]byte, 0, len(prog)+len(facts)+128)
+	b = append(b, prog...)
+	b = append(b, '|')
+	b = appendLenString(b, facts)
+	b = appendCacheKey(b, sys.Mem.L1I)
+	b = appendCacheKey(b, sys.Mem.L1D)
 	if sys.Mem.L2 != nil {
-		fmt.Fprintf(&sb, "%+v", *sys.Mem.L2)
+		b = appendCacheKey(b, *sys.Mem.L2)
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendCacheKey appends one cache geometry, name included, as a
+// "|"-led PrepareKey field.
+func appendCacheKey(b []byte, c cache.Config) []byte {
+	b = append(b, '|')
+	b = appendLenString(b, c.Name)
+	for _, v := range [...]int{c.Sets, c.Ways, c.LineBytes, c.HitLatency, c.MissPenalty} {
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	return b
+}
+
+// appendLenString appends s as "<len>:<s>".
+func appendLenString(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
 }
 
 // MergedID maps an L1 reference to its merged-stream identity.

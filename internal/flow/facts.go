@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strings"
+	"strconv"
 
 	"paratime/internal/cfg"
 )
@@ -77,35 +77,55 @@ func (f *Facts) Bounds() map[string]int {
 // serialized by label; extra constraints are serialized structurally
 // (coefficients, relation, RHS, and the IDs of the blocks and edges they
 // reference), which distinguishes any two constraint sets over the same
-// program. A nil receiver keys identically to an empty set.
+// program. Labels and constraint names are length-prefixed, so no
+// spelling can make two different annotation sets share a key. A nil
+// receiver keys identically to an empty set.
 func (f *Facts) Fingerprint() string {
 	if f == nil {
 		return ""
 	}
-	var sb strings.Builder
 	labels := make([]string, 0, len(f.bounds))
 	for l := range f.bounds {
 		labels = append(labels, l)
 	}
 	sort.Strings(labels)
+	var b []byte
 	for _, l := range labels {
-		fmt.Fprintf(&sb, "b:%s=%d;", l, f.bounds[l])
+		b = append(b, 'b')
+		b = appendLenString(b, l)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(f.bounds[l]), 10)
+		b = append(b, ';')
 	}
 	for _, c := range f.Constraints {
-		fmt.Fprintf(&sb, "c:%s,%d,%d", c.Name, c.Rel, c.RHS)
+		b = append(b, 'c')
+		b = appendLenString(b, c.Name)
+		b = append(b, ',')
+		b = strconv.AppendUint(b, uint64(c.Rel), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, c.RHS, 10)
 		for _, t := range c.Terms {
+			b = append(b, '|')
+			b = strconv.AppendInt(b, t.Coef, 10)
 			switch {
 			case t.Edge != nil:
-				fmt.Fprintf(&sb, "|%d*e%d", t.Coef, t.Edge.ID)
+				b = append(b, "*e"...)
+				b = strconv.AppendInt(b, int64(t.Edge.ID), 10)
 			case t.Block != nil:
-				fmt.Fprintf(&sb, "|%d*b%d", t.Coef, t.Block.ID)
-			default:
-				fmt.Fprintf(&sb, "|%d", t.Coef)
+				b = append(b, "*b"...)
+				b = strconv.AppendInt(b, int64(t.Block.ID), 10)
 			}
 		}
-		sb.WriteByte(';')
+		b = append(b, ';')
 	}
-	return sb.String()
+	return string(b)
+}
+
+// appendLenString appends s as "<len>:<s>".
+func appendLenString(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(b, s...)
 }
 
 // Apply writes annotated bounds into the graph's loops. A label matches

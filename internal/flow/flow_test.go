@@ -457,3 +457,47 @@ func TestValString(t *testing.T) {
 		t.Error("lattice extremes render")
 	}
 }
+
+// TestFingerprintLabelsInjective: bound labels and constraint names are
+// length-prefixed, so no spelling — "=", ";", "|", ":" or the empty
+// label — can make two different annotation sets share a fingerprint.
+func TestFingerprintLabelsInjective(t *testing.T) {
+	bounds := func(kv ...any) *Facts {
+		f := NewFacts()
+		for i := 0; i < len(kv); i += 2 {
+			f.Bound(kv[i].(string), kv[i+1].(int))
+		}
+		return f
+	}
+	named := func(names ...string) *Facts {
+		f := NewFacts()
+		for _, n := range names {
+			f.Constrain(Constraint{Name: n, Terms: []Term{{Coef: 1}}, Rel: RelLE, RHS: 1})
+		}
+		return f
+	}
+	sets := []*Facts{
+		NewFacts(),
+		bounds("a=1;b:c", 2),
+		bounds("a", 1, "c", 2),
+		bounds("", 1, "a", 2),
+		bounds("=1;b:a", 2),
+		bounds("", 3),
+		bounds("a|b", 1),
+		bounds("a", 1, "|b", 1),
+		bounds("a;", 1),
+		bounds("a", 1, ";", 1),
+		named("n,0,1|1;c:m"),
+		named("n", "m"),
+		named(""),
+		named("|1"),
+	}
+	seen := map[string]int{}
+	for i, f := range sets {
+		fp := f.Fingerprint()
+		if j, dup := seen[fp]; dup {
+			t.Errorf("annotation sets %d and %d share fingerprint %q", j, i, fp)
+		}
+		seen[fp] = i
+	}
+}

@@ -395,3 +395,44 @@ loop:   addi r1, r1, -1
 		t.Error("base address not part of the fingerprint")
 	}
 }
+
+// TestFingerprintLabelsInjective: label names are length-prefixed, so
+// no spelling — "=", ";", "|", ":" or the empty label — can make two
+// different label sets over the same text share a fingerprint.
+func TestFingerprintLabelsInjective(t *testing.T) {
+	src := `
+        li   r1, 10
+loop:   addi r1, r1, -1
+        bne  r1, r0, loop
+        nop
+        nop
+        nop
+        nop
+        halt`
+	with := func(labels map[string]int) *Program {
+		p := MustAssemble("fp", src)
+		p.Labels = labels
+		return p
+	}
+	sets := []map[string]int{
+		{},
+		{"x=5;l:y": 7},
+		{"x": 5, "y": 7},
+		{"": 1, "a": 2},
+		{"=1;l:a": 2},
+		{"": 0},
+		{"": 1},
+		{"a|b": 1},
+		{"a": 1, "|b": 1},
+		{"a;": 1},
+		{"a": 1, ";": 1},
+	}
+	seen := map[string]int{}
+	for i, labels := range sets {
+		fp := with(labels).Fingerprint()
+		if j, dup := seen[fp]; dup {
+			t.Errorf("label sets %v and %v share fingerprint %s", sets[j], labels, fp)
+		}
+		seen[fp] = i
+	}
+}

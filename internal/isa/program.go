@@ -2,8 +2,10 @@ package isa
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"maps"
 	"slices"
 	"strings"
@@ -72,29 +74,92 @@ func (p *Program) End() uint32 { return p.Base + uint32(len(p.Insts))*InstBytes 
 // fingerprints yield identical analysis artefacts, which lets the
 // batch engine memoize prepared analyses by content instead of pointer
 // identity.
+//
+// The hashed encoding is binary and injective: fixed-width
+// little-endian fields (base, instruction count, each instruction's
+// op/rd/rs1/rs2/imm/target), then the label count and each label in
+// name order as a length-prefixed name and its instruction index, then
+// the data-word count and each word as an address/value pair in
+// address order. Length prefixes keep any label spelling from aliasing
+// another label set.
 func (p *Program) Fingerprint() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "base:%d;", p.Base)
+	w := fpWriter{h: sha256.New()}
+	w.u32(p.Base)
+	w.u64(uint64(len(p.Insts)))
 	for _, in := range p.Insts {
-		fmt.Fprintf(h, "i:%d,%d,%d,%d,%d,%d;", in.Op, in.Rd, in.Rs1, in.Rs2, in.Imm, in.Target)
+		w.u32(uint32(in.Op) | uint32(in.Rd)<<8 | uint32(in.Rs1)<<16 | uint32(in.Rs2)<<24)
+		w.u32(uint32(in.Imm))
+		w.u32(in.Target)
 	}
 	labels := make([]string, 0, len(p.Labels))
 	for l := range p.Labels {
 		labels = append(labels, l)
 	}
 	slices.Sort(labels)
+	w.u64(uint64(len(labels)))
 	for _, l := range labels {
-		fmt.Fprintf(h, "l:%s=%d;", l, p.Labels[l])
+		w.str(l)
+		w.u64(uint64(p.Labels[l]))
 	}
 	addrs := make([]uint32, 0, len(p.Data))
 	for a := range p.Data {
 		addrs = append(addrs, a)
 	}
 	slices.Sort(addrs)
+	w.u64(uint64(len(addrs)))
 	for _, a := range addrs {
-		fmt.Fprintf(h, "d:%d=%d;", a, p.Data[a])
+		w.u32(a)
+		w.u32(uint32(p.Data[a]))
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	w.flush()
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(w.h.Sum(sum[:0]))
+}
+
+// fpWriter batches fixed-width fields into a small scratch array before
+// handing them to the hash, so fingerprinting costs no allocation
+// proportional to the program.
+type fpWriter struct {
+	h   hash.Hash
+	buf [64]byte
+	n   int
+}
+
+// room flushes the scratch array unless k more bytes fit.
+func (w *fpWriter) room(k int) {
+	if w.n+k > len(w.buf) {
+		w.flush()
+	}
+}
+
+func (w *fpWriter) flush() {
+	w.h.Write(w.buf[:w.n])
+	w.n = 0
+}
+
+func (w *fpWriter) u32(v uint32) {
+	w.room(4)
+	binary.LittleEndian.PutUint32(w.buf[w.n:], v)
+	w.n += 4
+}
+
+func (w *fpWriter) u64(v uint64) {
+	w.room(8)
+	binary.LittleEndian.PutUint64(w.buf[w.n:], v)
+	w.n += 8
+}
+
+// str writes a length-prefixed string.
+func (w *fpWriter) str(s string) {
+	w.u64(uint64(len(s)))
+	for len(s) > 0 {
+		if w.n == len(w.buf) {
+			w.flush()
+		}
+		c := copy(w.buf[w.n:], s)
+		w.n += c
+		s = s[c:]
+	}
 }
 
 // LabelAt returns the (sorted, "/"-joined) labels attached to instruction
@@ -134,11 +199,17 @@ func (p *Program) Validate() error {
 			}
 		}
 	}
-	// Sorted addresses keep the first-error choice deterministic.
-	for _, a := range slices.Sorted(maps.Keys(p.Data)) {
-		if a%4 != 0 {
-			return fmt.Errorf("program %q: misaligned data word at 0x%x", p.Name, a)
+	// Reporting the lowest misaligned address keeps the first-error
+	// choice deterministic without sorting the whole image.
+	bad, found := uint32(0), false
+	//paralint:unordered a minimum over the keys does not depend on visit order
+	for a := range p.Data {
+		if a%4 != 0 && (!found || a < bad) {
+			bad, found = a, true
 		}
+	}
+	if found {
+		return fmt.Errorf("program %q: misaligned data word at 0x%x", p.Name, bad)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package spec
 import (
 	"strings"
 	"testing"
+
+	"paratime/internal/workload"
 )
 
 // fpBaseJSON is the reference scenario for the fingerprint contract
@@ -138,5 +140,38 @@ func TestFingerprintRejectsInvalid(t *testing.T) {
 	s2 := &Scenario{Spec: 99}
 	if _, err := s2.Fingerprint(); err == nil {
 		t.Error("wrong schema version fingerprinted")
+	}
+}
+
+// TestFingerprintGolden pins Fingerprint bytes. Manifests and the serve
+// disk cache persist results under these keys, so a change here would
+// orphan every stored result: the encoding may only change together
+// with the schema version. The first scenario is the exported
+// "e1-solo-suite" request (prebuilt programs, sim and explore blocks),
+// rebuilt here the way the experiments export it; the second is the
+// assembly-source reference scenario.
+func TestFingerprintGolden(t *testing.T) {
+	tasks, err := TasksToSpec(workload.Suite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1 := &Scenario{
+		Spec:    Version,
+		Name:    "e1-solo-suite",
+		Tasks:   tasks,
+		System:  DefaultSystemSpec(),
+		Mode:    ModeSpec{Kind: KindSolo},
+		Sim:     &SimSpec{MaxCycles: 200_000_000},
+		Explore: &ExploreSpec{InitStates: 4},
+	}
+	got, err := e1.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "spec1-90a357e409c8858e3edc056ea555d147416e7012848b2992021632c1a15e2f9c"; got != want {
+		t.Errorf("e1-solo-suite fingerprint = %s, want %s", got, want)
+	}
+	if got, want := mustFingerprint(t, fpBaseJSON), "spec1-8c5d9b52cf15a2aeb0f4890dc489683b0754c8e07aeff3455efb43f616cddd63"; got != want {
+		t.Errorf("fp-base fingerprint = %s, want %s", got, want)
 	}
 }

@@ -6,7 +6,9 @@
 // million points never exists in memory as a whole, and every point has
 // a deterministic coordinate-derived ID: the same document always
 // yields the same points in the same order, and editing one axis value
-// only changes the points that use it.
+// only changes the points that use it. A run that prices many points
+// enumerates them through one SweepPoints, which materializes each task
+// set once and shares it among the points that use it.
 package spec
 
 import (
@@ -16,6 +18,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"paratime/internal/workload"
 )
@@ -86,20 +89,60 @@ type sweepAxis struct {
 	apply func(s *Scenario, v int) error
 }
 
-// axes returns the active dimensions in canonical order. Inactive
-// (empty) axes contribute nothing; the base value stays in effect.
-func (d *SweepDoc) axes() []sweepAxis {
+// SweepPoints enumerates the points of one SweepDoc for one run. It
+// builds the axes once and materializes each taskSets value at most
+// once, on first use; every point of that set shares the same read-only
+// []TaskSpec. It is safe for concurrent use. Its cached task sets go
+// stale if the document is edited, so callers create one per run.
+type SweepPoints struct {
+	doc  *SweepDoc
+	axes []sweepAxis
+	n    int
+	sets []taskSet
+}
+
+// taskSet is one lazily materialized taskSets value.
+type taskSet struct {
+	once  sync.Once
+	specs []TaskSpec
+	err   error
+}
+
+// Enumerate returns a fresh enumerator over the document's points.
+func (d *SweepDoc) Enumerate() *SweepPoints {
+	e := &SweepPoints{doc: d, n: 1, sets: make([]taskSet, len(d.Axes.TaskSets))}
+	e.axes = d.axes(e.sets)
+	for _, ax := range e.axes {
+		e.n *= ax.size
+	}
+	return e
+}
+
+// taskSpecs returns the materialized task set named name, building it
+// on the first call.
+func (ts *taskSet) taskSpecs(name string) ([]TaskSpec, error) {
+	ts.once.Do(func() {
+		tasks, err := workload.Set(name)
+		if err != nil {
+			ts.err = err
+			return
+		}
+		ts.specs, ts.err = TasksToSpec(tasks)
+	})
+	return ts.specs, ts.err
+}
+
+// axes returns the active dimensions in canonical order, drawing task
+// sets from sets (one entry per taskSets value). Inactive (empty) axes
+// contribute nothing; the base value stays in effect.
+func (d *SweepDoc) axes(sets []taskSet) []sweepAxis {
 	var out []sweepAxis
 	if n := len(d.Axes.TaskSets); n > 0 {
 		out = append(out, sweepAxis{
 			name: "tasks", size: n,
 			label: func(v int) string { return d.Axes.TaskSets[v] },
 			apply: func(s *Scenario, v int) error {
-				tasks, err := workload.Set(d.Axes.TaskSets[v])
-				if err != nil {
-					return err
-				}
-				specs, err := TasksToSpec(tasks)
+				specs, err := sets[v].taskSpecs(d.Axes.TaskSets[v])
 				if err != nil {
 					return err
 				}
@@ -166,13 +209,10 @@ func (d *SweepDoc) axes() []sweepAxis {
 
 // Points returns the number of enumerated points: the product of the
 // active axis sizes, or 1 for a document with no axes.
-func (d *SweepDoc) Points() int {
-	n := 1
-	for _, ax := range d.axes() {
-		n *= ax.size
-	}
-	return n
-}
+func (d *SweepDoc) Points() int { return d.Enumerate().Points() }
+
+// Points returns the number of enumerated points.
+func (e *SweepPoints) Points() int { return e.n }
 
 // SweepPoint is one materialized point of the product space.
 type SweepPoint struct {
@@ -187,32 +227,38 @@ type SweepPoint struct {
 	// Scenario is the concrete, validated scenario. Its name is the
 	// base scenario's name for every point (point identity lives in ID),
 	// so the content fingerprint — and therefore any persisted result —
-	// depends only on what is actually analyzed.
+	// depends only on what is actually analyzed. It is read-only: its
+	// payload slices are shared with the document and, for points
+	// enumerated by one SweepPoints, its Tasks with every other point of
+	// the same task set.
 	Scenario *Scenario
 }
 
-// Point materializes point i of the enumeration: the base scenario with
-// each active axis's coordinate value applied, validated. Points may be
-// materialized concurrently; the returned scenario shares immutable
-// payload slices with the document and must be treated as read-only
-// (every consumer in this codebase does).
-func (d *SweepDoc) Point(i int) (*SweepPoint, error) {
-	axes := d.axes()
-	n := d.Points()
-	if i < 0 || i >= n {
-		return nil, fmt.Errorf("spec: sweep point %d outside [0,%d)", i, n)
+// Point materializes point i of the enumeration through a fresh
+// enumerator: the base scenario with each active axis's coordinate value
+// applied, validated. Callers pricing many points should Enumerate once
+// and call SweepPoints.Point instead, so each task set is materialized
+// once rather than once per point.
+func (d *SweepDoc) Point(i int) (*SweepPoint, error) { return d.Enumerate().Point(i) }
+
+// Point materializes point i: the base scenario with each active axis's
+// coordinate value applied, validated. Points may be materialized
+// concurrently; the returned scenario is read-only (see SweepPoint).
+func (e *SweepPoints) Point(i int) (*SweepPoint, error) {
+	if i < 0 || i >= e.n {
+		return nil, fmt.Errorf("spec: sweep point %d outside [0,%d)", i, e.n)
 	}
 	// Row-major decomposition, last axis fastest.
-	coord := make([]int, len(axes))
+	coord := make([]int, len(e.axes))
 	rem := i
-	for a := len(axes) - 1; a >= 0; a-- {
-		coord[a] = rem % axes[a].size
-		rem /= axes[a].size
+	for a := len(e.axes) - 1; a >= 0; a-- {
+		coord[a] = rem % e.axes[a].size
+		rem /= e.axes[a].size
 	}
-	s := d.Base // value copy; apply steps replace fields, never mutate in place
-	pt := &SweepPoint{Index: i, Coords: make(map[string]string, len(axes))}
+	s := e.doc.Base // value copy; apply steps replace fields, never mutate in place
+	pt := &SweepPoint{Index: i, Coords: make(map[string]string, len(e.axes))}
 	var id []string
-	for a, ax := range axes {
+	for a, ax := range e.axes {
 		label := ax.label(coord[a])
 		pt.Coords[ax.name] = label
 		id = append(id, ax.name+"="+label)

@@ -3,6 +3,7 @@ package spec
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -341,5 +342,113 @@ func TestSweepPointErrorMentionsID(t *testing.T) {
 	}
 	if err := d.Validate(); err == nil {
 		t.Error("Validate accepted a negative memLatency")
+	}
+}
+
+// threeSetSweep is a 3 × 4 × 4 = 48-point product space over three task
+// sets, bus delays and memory latencies: the shape of a typical
+// system-parameter sweep, where each set is priced at 16 points.
+func threeSetSweep() *SweepDoc {
+	d := sampleSweep()
+	d.Axes = SweepAxes{
+		TaskSets:   []string{"suite", "fib24+crc16", "matmult4+bsort12+fir16x4"},
+		BusDelay:   []int{3, 9, 17, 40},
+		MemLatency: []int{25, 60, 90, 150},
+	}
+	return d
+}
+
+// TestSweepPointsConcurrent: eight goroutines materializing every point
+// from one enumerator — racing on the first use of each task set — get
+// exactly the points that sequential SweepDoc.Point calls build.
+func TestSweepPointsConcurrent(t *testing.T) {
+	d := threeSetSweep()
+	n := d.Points()
+	want := make([]*SweepPoint, n)
+	for i := range want {
+		pt, err := d.Point(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = pt
+	}
+	pts := d.Enumerate()
+	const workers = 8
+	got := make([][]*SweepPoint, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = make([]*SweepPoint, n)
+			for k := 0; k < n; k++ {
+				i := (k + w*n/workers) % n // workers start at different sets
+				pt, err := pts.Point(i)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				got[w][i] = pt
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[w][i], want[i]) {
+				t.Fatalf("worker %d point %d differs from SweepDoc.Point", w, i)
+			}
+		}
+	}
+}
+
+// TestSweepPointsShareTaskSets: one enumerator materializes each task set
+// once, so its points share one Tasks backing array; points of other
+// sets, and points from another enumerator, do not.
+func TestSweepPointsShareTaskSets(t *testing.T) {
+	d := threeSetSweep()
+	tasksOf := func(pts *SweepPoints, i int) *TaskSpec {
+		t.Helper()
+		pt, err := pts.Point(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &pt.Scenario.Tasks[0]
+	}
+	pts := d.Enumerate()
+	perSet := pts.Points() / len(d.Axes.TaskSets)
+	for set := range d.Axes.TaskSets {
+		first := tasksOf(pts, set*perSet)
+		for i := set*perSet + 1; i < (set+1)*perSet; i++ {
+			if tasksOf(pts, i) != first {
+				t.Fatalf("point %d does not share set %d's tasks", i, set)
+			}
+		}
+		if set > 0 && first == tasksOf(pts, 0) {
+			t.Fatalf("set %d shares set 0's tasks", set)
+		}
+	}
+	if tasksOf(d.Enumerate(), 0) == tasksOf(pts, 0) {
+		t.Fatal("two enumerators share a task set")
+	}
+}
+
+// BenchmarkSweepPoints materializes every point of the 48-point
+// three-set sweep through one enumerator per iteration, as one sweep
+// run does.
+func BenchmarkSweepPoints(b *testing.B) {
+	d := threeSetSweep()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pts := d.Enumerate()
+		for p := 0; p < pts.Points(); p++ {
+			if _, err := pts.Point(p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -144,8 +144,11 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 	if eng == nil {
 		eng = engine.New(0)
 	}
+	// One enumerator per run: each task set is materialized once and
+	// shared by every point that uses it.
+	pts := doc.Enumerate()
 	workers := parallel.Resolve(opt.Parallelism)
-	n := doc.Points()
+	n := pts.Points()
 	if workers > n {
 		workers = n
 	}
@@ -183,7 +186,7 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			l := price(ctx, doc, i, eng, opt.Manifest)
+			l := price(ctx, pts, i, eng, opt.Manifest)
 			account(l)
 			if err := emit(l); err != nil {
 				return nil, err
@@ -226,7 +229,7 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				results <- price(runCtx, doc, i, eng, opt.Manifest)
+				results <- price(runCtx, pts, i, eng, opt.Manifest)
 			}
 		}()
 	}
@@ -290,8 +293,8 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 // collector discards everything once the run is failing).
 //
 //paralint:canonical manifest payloads are canonical Report encodings keyed by scenario fingerprint; byte-compared on reuse
-func price(ctx context.Context, doc *spec.SweepDoc, idx int, eng *engine.Engine, manifest cachestore.CacheBackend) Line {
-	pt, err := doc.Point(idx)
+func price(ctx context.Context, pts *spec.SweepPoints, idx int, eng *engine.Engine, manifest cachestore.CacheBackend) Line {
+	pt, err := pts.Point(idx)
 	if err != nil {
 		return Line{Index: idx, Error: err.Error()}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -307,5 +308,38 @@ func TestLargeSweepBoundedPending(t *testing.T) {
 	}
 	if sum.Points != 32 || next != 32 {
 		t.Fatalf("saw %d of %d points", next, sum.Points)
+	}
+}
+
+// TestUnknownTaskSetErrorLine: a task set that fails to materialize
+// fails every point using it with the line sweep.Run has always
+// emitted — the error SweepDoc.Point reports for that point — while the
+// other set's points still price. Run's validation rejects unknown set
+// names up front, so the per-point path is driven through price, the
+// function Run prices each point with.
+func TestUnknownTaskSetErrorLine(t *testing.T) {
+	doc := testSweep()
+	doc.Axes.TaskSets = []string{"crc16", "nope"}
+	if _, err := Run(context.Background(), doc, Options{}, func(Line) error { return nil }); err == nil {
+		t.Fatal("Run accepted an unknown task set")
+	}
+	pts := doc.Enumerate()
+	eng := engine.New(0)
+	for i := 0; i < pts.Points(); i++ {
+		l := price(context.Background(), pts, i, eng, nil)
+		_, err := doc.Point(i)
+		if err == nil {
+			if l.Error != "" || l.Report == nil {
+				t.Errorf("point %d: line %+v, want a report", i, l)
+			}
+			continue
+		}
+		want := Line{Index: i, Error: err.Error()}
+		if !strings.Contains(want.Error, "tasks=nope") {
+			t.Fatalf("point %d: error %q does not name the set", i, want.Error)
+		}
+		if !reflect.DeepEqual(l, want) {
+			t.Errorf("point %d: line %+v, want %+v", i, l, want)
+		}
 	}
 }
