@@ -11,8 +11,9 @@
 //	paratime suite                  analyze + simulate the benchmark suite
 //	paratime run  [-json] [-parallelism n] <file...|->  run scenario file(s)
 //	                                (see export); -parallelism sets the
-//	                                intra-analysis worker count (results
-//	                                are identical at any value)
+//	                                explore-pricing workers of each
+//	                                analysis (results are identical at
+//	                                any value)
 //	paratime export <exp-id>|all    dump experiment(s) as scenario JSON
 //	paratime exp  <id>|all          run experiment(s), e.g. e4 (see list)
 //	paratime tightness [-update] [file]  check (or rewrite) the precision
@@ -372,5 +373,5 @@ func withProg(args []string, f func(*paratime.Program) error) error {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: paratime asm|cfg|wcet|sim <file.s> | suite | run [-json] [-parallelism n] <scenario.json...|-> | export <id>|all | exp <id>|all | tightness [-update] [file] | sweep [-json] [-parallelism n] [-cache-dir d] [-out f] [-unordered] <sweep.json|-> | serve [-addr a] [-cache-dir d] [-max-inflight n] [-queue n] [-timeout d] [-parallelism n] | list")
+	return fmt.Errorf("usage: paratime asm|cfg|wcet|sim <file.s> | suite | run [-json] [-parallelism explore-workers] <scenario.json...|-> | export <id>|all | exp <id>|all | tightness [-update] [file] | sweep [-json] [-parallelism point-workers] [-cache-dir d] [-out f] [-unordered] <sweep.json|-> | serve [-addr a] [-cache-dir d] [-max-inflight n] [-queue n] [-timeout d] [-parallelism explore-workers] | list")
 }

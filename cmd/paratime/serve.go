@@ -55,7 +55,7 @@ func runServe(ctx context.Context, args []string) error {
 	maxInflight := fs.Int("max-inflight", 0, "max concurrent analyses (0: GOMAXPROCS)")
 	queue := fs.Int("queue", defaultQueueDepth, "admission queue depth (overflow answers 429)")
 	timeout := fs.Duration("timeout", 0, "per-request analysis timeout (0: none)")
-	parallelism := fs.Int("parallelism", 0, "intra-analysis workers per request (0: PARATIME_PARALLELISM or GOMAXPROCS)")
+	parallelism := fs.Int("parallelism", 0, "explore-pricing workers per analysis (0: PARATIME_PARALLELISM or GOMAXPROCS; results are identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

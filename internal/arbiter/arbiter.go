@@ -7,26 +7,37 @@
 // Every arbiter is simultaneously an analytical model — Bound(core)
 // returns a worst-case grant delay usable as the BusDelay of a WCET
 // analysis — and a cycle-level device driven by the simulator through
-// Request, so each bound is validated against simulated behaviour.
+// the Session it creates, so each bound is validated against simulated
+// behaviour. An Arbiter is an immutable policy and safe to share across
+// goroutines; all request state lives in the per-run Session.
 package arbiter
 
 import "fmt"
 
-// Arbiter mediates access to a shared resource whose transactions occupy
-// it for Latency() cycles.
-//
-// Simulation contract: Request(core, t) returns the grant time g >= t;
-// the transaction occupies [g, g+Latency()). The simulator issues
-// requests in non-decreasing time order across all cores (event order),
-// and a core never has two outstanding transactions.
+// Arbiter is an arbitration policy for a shared resource whose
+// transactions occupy it for Latency() cycles. It holds no request
+// state: every simulation run asks it for a fresh Session, so one
+// Arbiter may serve any number of concurrent runs.
 type Arbiter interface {
 	Name() string
 	Latency() int
 	// Bound returns the worst-case delay between request and grant for
 	// the given core (excluding the transaction's own latency).
 	Bound(core int) int
+	// NewSession returns the request state of one run, starting from an
+	// idle resource at cycle 0.
+	NewSession() Session
+}
+
+// Session is the mutable grant state of one simulation run. It is owned
+// by that run and must not be shared across goroutines.
+//
+// Simulation contract: Request(core, t) returns the grant time g >= t;
+// the transaction occupies [g, g+Latency()). The simulator issues
+// requests in non-decreasing time order across all cores (event order),
+// and a core never has two outstanding transactions.
+type Session interface {
 	Request(core int, t int64) int64
-	Reset()
 }
 
 // --- round robin -----------------------------------------------------------
@@ -36,8 +47,7 @@ type Arbiter interface {
 // in-flight transaction minus one cycle plus one transaction from every
 // other core.
 type RoundRobin struct {
-	n, lat    int
-	busyUntil int64
+	n, lat int
 }
 
 // NewRoundRobin returns a round-robin arbiter for n cores and transaction
@@ -58,19 +68,24 @@ func (r *RoundRobin) Latency() int { return r.lat }
 // Bound implements Arbiter: D = N·L − 1.
 func (r *RoundRobin) Bound(core int) int { return r.n*r.lat - 1 }
 
-// Request implements Arbiter. With at most one outstanding transaction
-// per core, first-come-first-served order realizes the round-robin bound.
-func (r *RoundRobin) Request(core int, t int64) int64 {
-	g := t
-	if r.busyUntil > g {
-		g = r.busyUntil
-	}
-	r.busyUntil = g + int64(r.lat)
-	return g
+// NewSession implements Arbiter.
+func (r *RoundRobin) NewSession() Session { return &rrSession{lat: int64(r.lat)} }
+
+// rrSession is one run of a RoundRobin bus.
+type rrSession struct {
+	lat, busyUntil int64
 }
 
-// Reset implements Arbiter.
-func (r *RoundRobin) Reset() { r.busyUntil = 0 }
+// Request implements Session. With at most one outstanding transaction
+// per core, first-come-first-served order realizes the round-robin bound.
+func (s *rrSession) Request(core int, t int64) int64 {
+	g := t
+	if s.busyUntil > g {
+		g = s.busyUntil
+	}
+	s.busyUntil = g + s.lat
+	return g
+}
 
 // --- TDMA ------------------------------------------------------------------
 
@@ -88,11 +103,10 @@ type TDMA struct {
 	slots  []Slot
 	period int64
 	lat    int
-	// lastGrantEnd serializes per-core transactions defensively.
-	lastGrantEnd map[int]int64
 }
 
 // NewTDMA builds a TDMA arbiter. Every slot must be at least lat long.
+// The table is copied, so later edits to slots do not reach the arbiter.
 func NewTDMA(slots []Slot, lat int) *TDMA {
 	if len(slots) == 0 || lat <= 0 {
 		panic("arbiter: empty TDMA table")
@@ -105,11 +119,10 @@ func NewTDMA(slots []Slot, lat int) *TDMA {
 		period += int64(s.Len)
 	}
 	return &TDMA{
-		name:         fmt.Sprintf("tdma(%d slots,P=%d,L=%d)", len(slots), period, lat),
-		slots:        slots,
-		period:       period,
-		lat:          lat,
-		lastGrantEnd: map[int]int64{},
+		name:   fmt.Sprintf("tdma(%d slots,P=%d,L=%d)", len(slots), period, lat),
+		slots:  append([]Slot(nil), slots...),
+		period: period,
+		lat:    lat,
 	}
 }
 
@@ -197,25 +210,34 @@ func (t *TDMA) SumOfOtherSlots(core int) int {
 }
 
 // GrantAfter returns the earliest grant time >= at for the core, without
-// the per-core serialization state (a pure query used by offset-set
-// analyses).
+// a session's per-core serialization state (a pure query used by
+// offset-set analyses).
 func (t *TDMA) GrantAfter(core int, at int64) int64 { return t.grantAfter(core, at) }
 
 // Period returns the schedule period.
 func (t *TDMA) Period() int64 { return t.period }
 
-// Request implements Arbiter.
-func (t *TDMA) Request(core int, at int64) int64 {
-	if end, ok := t.lastGrantEnd[core]; ok && at < end {
-		at = end
-	}
-	g := t.grantAfter(core, at)
-	t.lastGrantEnd[core] = g + int64(t.lat)
-	return g
+// NewSession implements Arbiter.
+func (t *TDMA) NewSession() Session {
+	return &tdmaSession{t: t, lastGrantEnd: map[int]int64{}}
 }
 
-// Reset implements Arbiter.
-func (t *TDMA) Reset() { t.lastGrantEnd = map[int]int64{} }
+// tdmaSession is one run of a TDMA bus.
+type tdmaSession struct {
+	t *TDMA
+	// lastGrantEnd serializes per-core transactions defensively.
+	lastGrantEnd map[int]int64
+}
+
+// Request implements Session.
+func (s *tdmaSession) Request(core int, at int64) int64 {
+	if end, ok := s.lastGrantEnd[core]; ok && at < end {
+		at = end
+	}
+	g := s.t.grantAfter(core, at)
+	s.lastGrantEnd[core] = g + int64(s.t.lat)
+	return g
+}
 
 // OwnerAt returns which core owns the bus at an absolute cycle (testing
 // and visualization helper).

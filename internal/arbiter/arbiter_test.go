@@ -3,7 +3,9 @@ package arbiter
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -23,6 +25,7 @@ func TestRoundRobinBoundFormula(t *testing.T) {
 func driveRandom(t *testing.T, a Arbiter, n int, seed int64) (waits []int64, grants [][2]int64, byCore map[int][][2]int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	sess := a.NewSession()
 	nextFree := make([]int64, n) // per-core: earliest next request time
 	type req struct {
 		core int
@@ -43,7 +46,7 @@ func driveRandom(t *testing.T, a Arbiter, n int, seed int64) (waits []int64, gra
 		})
 		r := pending[0]
 		pending = pending[1:]
-		g := a.Request(r.core, r.t)
+		g := sess.Request(r.core, r.t)
 		if g < r.t {
 			t.Fatalf("%s: grant %d before request %d", a.Name(), g, r.t)
 		}
@@ -72,7 +75,6 @@ func TestRoundRobinSimulatedWaitWithinBound(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8} {
 		a := NewRoundRobin(n, 4)
 		for seed := int64(0); seed < 5; seed++ {
-			a.Reset()
 			waits, grants, _ := driveRandom(t, a, n, seed)
 			assertNoOverlap(t, a.Name(), grants)
 			for _, w := range waits {
@@ -87,7 +89,6 @@ func TestRoundRobinSimulatedWaitWithinBound(t *testing.T) {
 func TestTDMAGrantsStayInOwnSlots(t *testing.T) {
 	a := NewTDMA([]Slot{{0, 6}, {1, 4}, {2, 8}}, 3)
 	for seed := int64(0); seed < 5; seed++ {
-		a.Reset()
 		_, grants, byCore := driveRandom(t, a, 3, seed)
 		assertNoOverlap(t, a.Name(), grants)
 		for core, wins := range byCore {
@@ -110,7 +111,7 @@ func TestTDMASimulatedWaitWithinBound(t *testing.T) {
 		bounds[c] = int64(a.Bound(c))
 	}
 	for seed := int64(0); seed < 8; seed++ {
-		a.Reset()
+		sess := a.NewSession().(*tdmaSession)
 		rng := rand.New(rand.NewSource(seed))
 		for step := 0; step < 200; step++ {
 			core := rng.Intn(3)
@@ -118,10 +119,10 @@ func TestTDMASimulatedWaitWithinBound(t *testing.T) {
 			// Per-core serialization may push the request; the bound is
 			// defined relative to the effective request time.
 			eff := at
-			if end, ok := a.lastGrantEnd[core]; ok && end > eff {
+			if end, ok := sess.lastGrantEnd[core]; ok && end > eff {
 				eff = end
 			}
-			g := a.Request(core, at)
+			g := sess.Request(core, at)
 			if g-eff > bounds[core] {
 				t.Fatalf("tdma core %d: wait %d beyond bound %d", core, g-eff, bounds[core])
 			}
@@ -198,7 +199,6 @@ func TestMultiBandwidthSharesAndBounds(t *testing.T) {
 func TestMultiBandwidthGrantIsolation(t *testing.T) {
 	a := NewMultiBandwidth([]int{3, 1}, 2)
 	for seed := int64(0); seed < 5; seed++ {
-		a.Reset()
 		_, grants, _ := driveRandom(t, a, 2, seed)
 		assertNoOverlap(t, a.Name(), grants)
 	}
@@ -296,6 +296,49 @@ func TestTDMABoundAdjacentOwnedSlots(t *testing.T) {
 	for c := 0; c < 2; c++ {
 		if got, want := tab.Bound(c), bruteForceBound(tab, c); got != want {
 			t.Errorf("core %d: Bound %d, brute force %d", c, got, want)
+		}
+	}
+}
+
+// TestSessionsShareNothing: an Arbiter is an immutable policy, so
+// concurrent runs over one value must each see exactly the grants of
+// that run alone, and the race detector must stay quiet.
+func TestSessionsShareNothing(t *testing.T) {
+	arbs := []Arbiter{
+		NewRoundRobin(4, 3),
+		NewTDMA([]Slot{{0, 5}, {1, 3}, {2, 4}, {3, 3}}, 3),
+		NewMultiBandwidth([]int{3, 1, 2, 2}, 2),
+		NewWheel(4, 3),
+	}
+	for _, a := range arbs {
+		replay := func(seed int64) []int64 {
+			sess := a.NewSession()
+			rng := rand.New(rand.NewSource(seed))
+			var at int64
+			grants := make([]int64, 0, 200)
+			for i := 0; i < 200; i++ {
+				at += int64(rng.Intn(4))
+				grants = append(grants, sess.Request(rng.Intn(4), at))
+			}
+			return grants
+		}
+		const runs = 8
+		want := make([][]int64, runs)
+		for seed := range want {
+			want[seed] = replay(int64(seed))
+		}
+		got := make([][]int64, runs)
+		var wg sync.WaitGroup
+		for seed := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[seed] = replay(int64(seed))
+			}()
+		}
+		wg.Wait()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: concurrent sessions diverge from solo runs", a.Name())
 		}
 	}
 }

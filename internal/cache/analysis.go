@@ -179,6 +179,22 @@ func Analyze(g *cfg.Graph, st *Stream, cacheCfg Config) (*Result, error) {
 	return AnalyzeWithCAC(g, st, cacheCfg, nil)
 }
 
+// AnalyzePar forwards to Analyze.
+//
+// Deprecated: workers is ignored; the cache fixpoints are sequential.
+// The name lives on only because the frozen perfbench module calls it.
+func AnalyzePar(g *cfg.Graph, st *Stream, cacheCfg Config, workers int) (*Result, error) {
+	return Analyze(g, st, cacheCfg)
+}
+
+// AnalyzeWithCACPar forwards to AnalyzeWithCAC.
+//
+// Deprecated: workers is ignored; the cache fixpoints are sequential.
+// The name lives on only because the frozen perfbench module calls it.
+func AnalyzeWithCACPar(g *cfg.Graph, st *Stream, cacheCfg Config, cac map[RefID]CAC, workers int) (*Result, error) {
+	return AnalyzeWithCAC(g, st, cacheCfg, cac)
+}
+
 // MustAnalyze panics on configuration errors (test/fixture helper).
 func MustAnalyze(g *cfg.Graph, st *Stream, cacheCfg Config) *Result {
 	r, err := Analyze(g, st, cacheCfg)

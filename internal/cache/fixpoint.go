@@ -100,35 +100,22 @@ func (a *ACS) applyOp(op refOp) {
 }
 
 // runFixpoint computes the Must or May in-states of every reachable
-// block and publishes them into the block-ID-keyed map.
+// block with a cfg.Worklist in RPO priority order and publishes them
+// into the block-ID-keyed map: a block's in-state is the join of its
+// predecessors' out-states, and only the successors of blocks whose
+// out-state actually changed are re-examined. All states live in
+// preallocated dense vectors and the two scratch states are reused
+// across iterations, so steady-state iteration allocates nothing.
+// The transfer functions are monotone and the join is an element-wise
+// max/min on a finite lattice, so the result is the unique least
+// fixpoint, independent of visit order.
 func (res *Result) runFixpoint(g *cfg.Graph, ops [][]refOp, kind ACSKind, inStates map[cfg.BlockID]*ACS) {
-	in := fixpointWorklist(g, res.idx, ops, kind)
-	for i, b := range g.Blocks {
-		if in[i] != nil {
-			inStates[b.ID] = in[i]
-		}
-	}
-}
-
-// fixpointWorklist computes the Must or May in-states of every reachable
-// block with a cfg.Worklist in RPO priority order: a block's in-state is
-// the join of its predecessors' out-states, and only the successors of
-// blocks whose out-state actually changed are re-examined. All states
-// live in preallocated dense vectors and the two scratch states are
-// reused across iterations, so steady-state iteration allocates nothing.
-// The returned slice is indexed by block position; unreachable blocks
-// stay nil. The transfer functions are monotone and the join is an
-// element-wise max/min on a finite lattice, so the result is the unique
-// least fixpoint — independent of visit order, which is what lets the
-// sharded and levelized parallel drivers reuse this worklist per
-// shard/component and still match the sequential run bit for bit.
-func fixpointWorklist(g *cfg.Graph, idx *Index, ops [][]refOp, kind ACSKind) []*ACS {
 	blocks := g.Blocks // already RPO-ordered, with ID == position
 	n := len(blocks)
 	in := make([]*ACS, n)
 	out := make([]*ACS, n)
-	scratchIn := NewACS(idx, kind)
-	scratchOut := NewACS(idx, kind)
+	scratchIn := NewACS(res.idx, kind)
+	scratchOut := NewACS(res.idx, kind)
 	wl := cfg.NewWorklist(n)
 	for i := range blocks {
 		wl.Push(i)
@@ -182,5 +169,9 @@ func fixpointWorklist(g *cfg.Graph, idx *Index, ops [][]refOp, kind ACSKind) []*
 			wl.Push(int(e.To.ID))
 		}
 	}
-	return in
+	for i, b := range blocks {
+		if in[i] != nil {
+			inStates[b.ID] = in[i]
+		}
+	}
 }

@@ -23,7 +23,6 @@ import (
 	"paratime/internal/ipet"
 	"paratime/internal/isa"
 	"paratime/internal/memctrl"
-	"paratime/internal/parallel"
 	"paratime/internal/pipeline"
 )
 
@@ -53,10 +52,10 @@ type SystemConfig struct {
 	// coverage, which keycover enforces on the spec side.
 	Pipeline pipeline.Config `paralint:"fingerprint"`
 	Mem      MemSystem
-	// Parallelism is the worker count for intra-analysis parallelism
-	// (cache and pipeline fixpoints, exploration pricing). 0 resolves to
-	// the process default (parallel.Default: PARATIME_PARALLELISM or
-	// GOMAXPROCS). It is an execution knob, not a model parameter: every
+	// Parallelism is the worker count for explore pricing, the one
+	// parallel step inside an analysis (the cache and pipeline
+	// fixpoints are sequential). 0 resolves to the process default
+	// (parallel.Default: PARATIME_PARALLELISM or GOMAXPROCS). It is an execution knob, not a model parameter: every
 	// result is bit-identical at any value, and it is deliberately
 	// excluded from PrepareKey and scenario fingerprints — keycover
 	// fails the build if it ever reaches either.
@@ -183,11 +182,10 @@ func Prepare(task Task, sys SystemConfig) (*Analysis, error) {
 	a.PipeOps = pipeline.Compile(g)
 	a.IStream = cache.FetchStream(g)
 	a.DStream = cache.DataStream(g, a.Addrs)
-	workers := parallel.Resolve(sys.Parallelism)
-	if a.L1I, err = cache.AnalyzePar(g, a.IStream, sys.Mem.L1I, workers); err != nil {
+	if a.L1I, err = cache.Analyze(g, a.IStream, sys.Mem.L1I); err != nil {
 		return nil, fmt.Errorf("task %s L1I: %w", task.Name, err)
 	}
-	if a.L1D, err = cache.AnalyzePar(g, a.DStream, sys.Mem.L1D, workers); err != nil {
+	if a.L1D, err = cache.Analyze(g, a.DStream, sys.Mem.L1D); err != nil {
 		return nil, fmt.Errorf("task %s L1D: %w", task.Name, err)
 	}
 	if sys.Mem.L2 != nil {
@@ -241,7 +239,7 @@ func (a *Analysis) RecomputeL2() error {
 	if a.Sys.Mem.L2 == nil {
 		return nil
 	}
-	res, err := cache.AnalyzeWithCACPar(a.G, a.Merged, *a.Sys.Mem.L2, a.CAC, parallel.Resolve(a.Sys.Parallelism))
+	res, err := cache.AnalyzeWithCAC(a.G, a.Merged, *a.Sys.Mem.L2, a.CAC)
 	if err != nil {
 		return err
 	}
@@ -469,7 +467,7 @@ func (a *Analysis) ComputeWCET() error {
 		// Hand-assembled Analysis (not via Prepare): compile on demand.
 		a.PipeOps = pipeline.Compile(a.G)
 	}
-	pipe, err := a.PipeOps.AnalyzeCostsPar(a.Sys.Pipeline, worst, base, parallel.Resolve(a.Sys.Parallelism))
+	pipe, err := a.PipeOps.AnalyzeCosts(a.Sys.Pipeline, worst, base)
 	if err != nil {
 		return err
 	}

@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"paratime/internal/arbiter"
 	"paratime/internal/isa"
 	"paratime/internal/memctrl"
 	"paratime/internal/sim"
@@ -62,6 +64,58 @@ func TestExploreParMatchesSequential(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(old)
+	}
+}
+
+// TestExploreParTopologies: every co-run topology the scenarios build
+// (solo, joint, partition, and bus under round-robin and TDMA) must
+// price identically at workers 2, 3 and 8 and at workers 1. Workers
+// share one sim.System, bus arbiter included, so any request state
+// leaking into that shared value shows up here as a diverging worst
+// case and, under -race, as a data race.
+func TestExploreParTopologies(t *testing.T) {
+	regs := regimes()
+	lat := l2().HitLatency + memctrl.DefaultConfig().Bound()
+	systems := map[string]func(progs []*isa.Program) sim.System{}
+	for name, r := range regs {
+		systems[name] = r.build
+	}
+	systems["bus-tdma"] = func(progs []*isa.Program) sim.System {
+		sys := regs["bus"].build(progs)
+		slots := make([]arbiter.Slot, len(progs))
+		for i := range slots {
+			slots[i] = arbiter.Slot{Owner: i, Len: lat + 3*i}
+		}
+		sys.Bus = arbiter.NewTDMA(slots, lat)
+		return sys
+	}
+	names := make([]string, 0, len(systems))
+	for name := range systems {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	rng := rand.New(rand.NewSource(1411))
+	for _, name := range names {
+		nCores := 3
+		if name == "solo" {
+			nCores = 1
+		}
+		progs := make([]*isa.Program, nCores)
+		inputs := make([]Input, nCores)
+		for i := range progs {
+			progs[i] = randomProgram(rng, fmt.Sprintf("t%d", i))
+			inputs[i] = Input{Core: i, Reg: isa.R1, Values: []int32{0, 1, 2}}
+		}
+		sys := systems[name](progs)
+		b := Budget{InitStates: 2}
+		want, wantErr := ExplorePar(sys, inputs, b, 1)
+		if wantErr != nil {
+			t.Fatalf("%s: %v", name, wantErr)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got, gotErr := ExplorePar(sys, inputs, b, workers)
+			requireSameExplore(t, fmt.Sprintf("%s workers %d", name, workers), want, wantErr, got, gotErr)
+		}
 	}
 }
 

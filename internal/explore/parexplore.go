@@ -105,8 +105,9 @@ scan:
 	}
 
 	// Phase 2: price every state on the worker pool. Each job builds its
-	// own core slice, so concurrent sim.Run calls share only immutable
-	// inputs (programs and the System template).
+	// own core slice, and sim.Run builds every stateful device (caches,
+	// memory controller, bus session) per call, so concurrent runs share
+	// only read-only inputs: programs, geometries and the bus policy.
 	parallel.For(workers, len(jobs), func(k int) {
 		j := jobs[k]
 		run := sys

@@ -1,19 +1,20 @@
-// Package parallel provides the bounded fork/join primitives behind
-// intra-analysis parallelism: deterministic ordered fan-out of
-// independent index-addressed work items across a capped number of
-// goroutines, and the process-wide parallelism knob the CLI and the
-// analysis service wire their flags into.
+// Package parallel provides bounded fork/join primitives: deterministic
+// ordered fan-out of independent index-addressed work items across a
+// capped number of goroutines, and the process-wide worker-count knob
+// the CLI and the analysis service wire their -parallelism flags into.
 //
-// Every layer that goes wide inside one analysis — the per-set sharded
-// cache fixpoint, the level-parallel pipeline context fixpoint, the
-// explore state pricer — shares these primitives and the same
-// determinism contract: work items are independent (each index writes
-// only its own slot of a result vector), reductions happen after the
-// barrier in index order, and all lattice joins are element-wise max or
-// min (commutative and associative). The parallel schedule therefore
-// produces bit-identical results to the sequential loop at any worker
-// count, which the GOMAXPROCS 1-vs-8 determinism tests and differential
-// oracles enforce.
+// Within one analysis the only parallel step is explore pricing
+// (explore.ExplorePar): the cache and pipeline fixpoints run
+// sequentially, because their parallel schedules never beat the
+// sequential worklists. Across analyses, sweep workers and the batch
+// engine fan out whole analyses.
+//
+// The determinism contract: work items are independent (each index
+// writes only its own slot of a result vector, and shares only
+// read-only inputs with other indices), and reductions happen after the
+// barrier in index order. The parallel schedule therefore produces
+// bit-identical results to the sequential loop at any worker count,
+// which the explore differential tests check at several worker counts.
 package parallel
 
 import (
@@ -31,10 +32,11 @@ const EnvVar = "PARATIME_PARALLELISM"
 // defaultPar holds the explicit process-wide setting (0 = automatic).
 var defaultPar atomic.Int64
 
-// SetDefault fixes the process-wide intra-analysis parallelism used
-// when a caller passes 0; n <= 0 restores automatic selection
-// (PARATIME_PARALLELISM, else GOMAXPROCS). The CLI's -parallelism flag
-// calls it once at startup.
+// SetDefault fixes the process-wide worker count used when a caller
+// passes 0: the explore-pricing workers of each analysis, and the sweep
+// workers when a sweep leaves its own count unset. n <= 0 restores
+// automatic selection (PARATIME_PARALLELISM, else GOMAXPROCS). The
+// CLI's -parallelism flag calls it once at startup.
 func SetDefault(n int) {
 	if n < 0 {
 		n = 0
@@ -42,9 +44,9 @@ func SetDefault(n int) {
 	defaultPar.Store(int64(n))
 }
 
-// Default returns the process-wide intra-analysis parallelism:
-// the explicit SetDefault value if any, else PARATIME_PARALLELISM if
-// set to a positive integer, else GOMAXPROCS.
+// Default returns the process-wide worker count (see SetDefault): the
+// explicit SetDefault value if any, else PARATIME_PARALLELISM if set to
+// a positive integer, else GOMAXPROCS.
 func Default() int {
 	if n := defaultPar.Load(); n > 0 {
 		return int(n)
@@ -134,28 +136,4 @@ func ForErr(workers, n int, f func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// Chunks partitions n items into at most parts contiguous ranges of
-// near-equal size, returned as [lo, hi) pairs in ascending order.
-// Fewer than parts ranges are returned when n < parts; n == 0 returns
-// nil. It is the shard planner for contiguous-range fan-out (the cache
-// fixpoint uses a weighted variant over set slot counts).
-func Chunks(n, parts int) [][2]int {
-	if n <= 0 || parts <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([][2]int, 0, parts)
-	lo := 0
-	for p := 0; p < parts; p++ {
-		hi := lo + (n-lo)/(parts-p)
-		if hi > lo {
-			out = append(out, [2]int{lo, hi})
-		}
-		lo = hi
-	}
-	return out
 }

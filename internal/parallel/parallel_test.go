@@ -70,47 +70,6 @@ func TestForErrNoError(t *testing.T) {
 	}
 }
 
-func TestChunks(t *testing.T) {
-	for _, tc := range []struct {
-		n, parts int
-	}{
-		{0, 4}, {1, 4}, {4, 4}, {5, 4}, {7, 3}, {100, 8}, {3, 100},
-	} {
-		cs := Chunks(tc.n, tc.parts)
-		if tc.n == 0 {
-			if cs != nil {
-				t.Fatalf("Chunks(0,%d) = %v, want nil", tc.parts, cs)
-			}
-			continue
-		}
-		if len(cs) > tc.parts {
-			t.Fatalf("Chunks(%d,%d): %d parts > requested %d", tc.n, tc.parts, len(cs), tc.parts)
-		}
-		// Contiguous cover of [0,n), ascending, near-equal sizes.
-		prev := 0
-		minSz, maxSz := tc.n+1, 0
-		for _, c := range cs {
-			if c[0] != prev || c[1] <= c[0] {
-				t.Fatalf("Chunks(%d,%d) = %v: bad range %v after %d", tc.n, tc.parts, cs, c, prev)
-			}
-			sz := c[1] - c[0]
-			if sz < minSz {
-				minSz = sz
-			}
-			if sz > maxSz {
-				maxSz = sz
-			}
-			prev = c[1]
-		}
-		if prev != tc.n {
-			t.Fatalf("Chunks(%d,%d) = %v: covers [0,%d) not [0,%d)", tc.n, tc.parts, cs, prev, tc.n)
-		}
-		if maxSz-minSz > 1 {
-			t.Fatalf("Chunks(%d,%d) = %v: unbalanced (min %d, max %d)", tc.n, tc.parts, cs, minSz, maxSz)
-		}
-	}
-}
-
 func TestDefaultAndResolve(t *testing.T) {
 	t.Setenv(EnvVar, "")
 	SetDefault(0)

@@ -73,11 +73,12 @@ type Config struct {
 	// MaxBody bounds the request body in bytes; <= 0 selects
 	// DefaultMaxBody.
 	MaxBody int64
-	// Parallelism sets the process-wide intra-analysis worker count
+	// Parallelism sets the process-wide explore-pricing worker count
 	// (parallel.SetDefault) used by every analysis this server runs;
 	// <= 0 keeps the current default (PARATIME_PARALLELISM or
-	// GOMAXPROCS). Results are bit-identical at any value — this is
-	// purely a throughput/latency trade against MaxInflight.
+	// GOMAXPROCS). Only explore-mode scenarios price in parallel.
+	// Results are bit-identical at any value — this is purely a
+	// throughput/latency trade against MaxInflight.
 	Parallelism int
 	// Analyze runs one validated scenario; nil selects spec.Run. It is
 	// a seam for tests that need deterministic blocking or failure.
@@ -438,7 +439,7 @@ type StatsReply struct {
 		// (slot wait), in milliseconds.
 		WaitMs QueueWaitReply `json:"queue_wait_ms"`
 	} `json:"queue"`
-	// Parallelism is the effective intra-analysis worker count applied
+	// Parallelism is the effective explore-pricing worker count applied
 	// to every analysis this server runs.
 	Parallelism int `json:"parallelism"`
 	Engine      struct {

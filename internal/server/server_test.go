@@ -308,18 +308,34 @@ func TestAnalyzeQueueOverflow(t *testing.T) {
 }
 
 // TestAnalyzeCancellationReleasesSlot: a client abandoning its request
-// mid-analysis frees the slot — the next request is admitted and
-// completes.
+// mid-analysis frees the slot — the next request is admitted, reaches
+// Analyze and completes.
+//
+// The server learns of the disconnect asynchronously, after the client
+// has already seen its own cancellation. Until then the abandoned
+// analysis rightly holds the only slot and a new request gets 429, so
+// the test first waits for the analysis to observe the cancellation.
+// Every wait has a deadline, so a lost slot fails instead of hanging.
 func TestAnalyzeCancellationReleasesSlot(t *testing.T) {
 	started := make(chan struct{}, 4)
 	release := make(chan struct{})
+	abandoned := make(chan struct{}, 1)
+	seam := blockingAnalyze(started, release)
 	srv := New(Config{
 		MaxInflight: 1,
 		QueueDepth:  0,
-		Analyze:     blockingAnalyze(started, release),
+		Analyze: func(ctx context.Context, s *spec.Scenario, eng *engine.Engine) (*spec.Report, error) {
+			rep, err := seam(ctx, s, eng)
+			if errors.Is(err, context.Canceled) {
+				abandoned <- struct{}{}
+			}
+			return rep, err
+		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	const wait = 10 * time.Second
+	client := &http.Client{Timeout: wait}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/analyze", strings.NewReader(soloScenario))
@@ -328,43 +344,49 @@ func TestAnalyzeCancellationReleasesSlot(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := client.Do(req)
 		if err == nil {
 			resp.Body.Close()
 		}
 		errc <- err
 	}()
-	<-started // analysis is in flight
-	cancel()  // client walks away
+	select {
+	case <-started: // analysis is in flight
+	case <-time.After(wait):
+		t.Fatal("first request never reached Analyze")
+	}
+	cancel() // client walks away
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("client error %v, want context.Canceled", err)
 	}
-
-	// The slot must come back: this request gets admitted and, with the
-	// seam released, completes normally.
-	close(release)
-	done := make(chan *http.Response, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(soloScenario))
-		if err != nil {
-			t.Error(err)
-			done <- nil
-			return
-		}
-		done <- resp
-	}()
-	<-started
 	select {
-	case resp := <-done:
-		if resp == nil {
-			t.Fatal("follow-up request failed")
+	case <-abandoned:
+	case <-time.After(wait):
+		t.Fatal("analysis never observed the client's cancellation")
+	}
+
+	// The slot must come back. The handler frees it just after Analyze
+	// returns, so a 429 inside that window is retried until the deadline.
+	close(release)
+	deadline := time.Now().Add(wait)
+	for {
+		resp, err := client.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(soloScenario))
+		if err != nil {
+			t.Fatalf("follow-up request: %v", err)
 		}
 		body := readAll(t, resp)
-		if resp.StatusCode != http.StatusOK {
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
 			t.Fatalf("follow-up status %d: %s", resp.StatusCode, body)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("slot was not released after cancellation")
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-started:
+	default:
+		t.Fatal("follow-up answered without reaching Analyze")
 	}
 }
 

@@ -15,7 +15,7 @@ func sumWaitBuckets(w QueueWaitReply) uint64 {
 }
 
 // TestStatsParallelismAndQueueWait: /v1/stats reports the effective
-// intra-analysis worker count and a queue-wait histogram in which every
+// explore-pricing worker count and a queue-wait histogram in which every
 // admitted request lands in exactly one bucket.
 func TestStatsParallelismAndQueueWait(t *testing.T) {
 	parallel.SetDefault(3)

@@ -49,7 +49,10 @@ type CoreConfig struct {
 	WarmD []uint32
 }
 
-// System is a complete multicore configuration.
+// System is a complete multicore configuration. It is a read-only
+// description: Run builds every stateful device (caches, memory
+// controller, bus session) afresh per call, so one System may be
+// simulated by any number of goroutines at once.
 type System struct {
 	Cores []CoreConfig
 	// L2 is the second-level cache; nil = misses go straight to memory.
@@ -58,7 +61,8 @@ type System struct {
 	// otherwise each core gets a private L2 (its partition).
 	SharedL2 bool
 	// Bus arbitrates the path from the L1s to L2/memory; nil = private
-	// path per core (no contention, zero wait).
+	// path per core (no contention, zero wait). Run opens one session
+	// of it per call.
 	Bus arbiter.Arbiter
 	// Mem is the memory device configuration.
 	Mem memctrl.Config
@@ -321,8 +325,9 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 		return nil, fmt.Errorf("sim: no cores")
 	}
 	ctrl := memctrl.New(sys.Mem)
+	var bus arbiter.Session
 	if sys.Bus != nil {
-		sys.Bus.Reset()
+		bus = sys.Bus.NewSession()
 	}
 	var sharedL2 *cache.LRU
 	if sys.L2 != nil && sys.SharedL2 {
@@ -390,8 +395,8 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 			return nil, fmt.Errorf("sim: core %d exceeded %d cycles", sel, maxCycles)
 		}
 		grant := need.at
-		if sys.Bus != nil {
-			grant = sys.Bus.Request(sel, need.at)
+		if bus != nil {
+			grant = bus.Request(sel, need.at)
 		}
 		wait := grant - need.at
 		r.stats.BusTrans++
