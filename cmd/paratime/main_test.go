@@ -189,3 +189,21 @@ func TestExpUnknownID(t *testing.T) {
 		t.Error("unknown experiment accepted")
 	}
 }
+
+// TestExpAllGolden pins every experiment table and metric of `paratime
+// exp all` byte-for-byte: a runner rebased onto its exported scenarios
+// must reproduce the numbers it printed before.
+func TestExpAllGolden(t *testing.T) {
+	out := capture(t, func() error {
+		return run(context.Background(), []string{"exp", "all"})
+	})
+	checkGolden(t, "expall.golden", out)
+}
+
+// TestExportAllGolden pins the scenario JSON of `paratime export all`.
+func TestExportAllGolden(t *testing.T) {
+	out := capture(t, func() error {
+		return run(context.Background(), []string{"export", "all"})
+	})
+	checkGolden(t, "exportall.golden", out)
+}
