@@ -156,7 +156,7 @@ type Result struct {
 	g      *cfg.Graph
 	stream *Stream
 	cac    map[RefID]CAC // nil for single-level analyses
-	shift  []int         // interference age shift per set (see Reclassify)
+	shift  []int         // interference age shift per set (see ReclassifyShift)
 }
 
 // CountClasses tallies classifications (reporting helper).
@@ -314,7 +314,7 @@ func (res *Result) classifyRef(b *cfg.Block, r Ref, must, may *ACS) RefClass {
 }
 
 // shiftFor returns the interference age shift of one set (0 without
-// Reclassify).
+// ReclassifyShift).
 func (res *Result) shiftFor(s int) int {
 	if res.shift == nil {
 		return 0
@@ -340,7 +340,7 @@ func (res *Result) persistentScope(b *cfg.Block, ln LineID) *cfg.Loop {
 	return best
 }
 
-// Reclassify recomputes all classifications under an inter-task
+// ReclassifyShift recomputes all classifications under an inter-task
 // interference model: shift[s] is the number of distinct foreign cache
 // lines that co-running tasks may bring into set s (Li et al., RTSS 2009
 // age-shift semantics; with shift >= ways the set behaves as fully
@@ -351,27 +351,16 @@ func (res *Result) persistentScope(b *cfg.Block, ln LineID) *cfg.Loop {
 // claims survive: co-runners can evict our lines but never insert them.
 // ALWAYS_HIT claims now require age + shift < ways, and persistence
 // requires conflictCount + shift <= ways.
-func (res *Result) Reclassify(shift map[int]int) {
-	dense := make([]int, res.Cfg.Sets)
-	//paralint:unordered scatter into a dense vector; each set index is written once
-	for s, n := range shift {
-		if s >= 0 && s < len(dense) {
-			dense[s] = n
-		}
-	}
-	res.ReclassifyShift(dense)
-}
-
-// ReclassifyShift is Reclassify with a dense per-set shift vector
-// (len == Sets); it is the representation the interference analyses
-// build directly. The slice is retained.
+//
+// shift is dense (len == Sets), the representation the interference
+// analyses build directly. The slice is retained.
 func (res *Result) ReclassifyShift(shift []int) {
 	res.shift = shift
 	res.Classes = make(map[RefID]RefClass, len(res.Classes))
 	res.classify(res.g, res.stream)
 }
 
-// Clone returns a copy that can be independently Reclassified without
+// Clone returns a copy that can be independently reclassified without
 // disturbing the receiver: the classification map and interference shift
 // are copied, while the fixpoint states, line index, persistence tables,
 // graph and stream — immutable after Analyze — stay shared. When cac is
@@ -433,26 +422,6 @@ func (res *Result) TouchedLines() ([][]LineID, bool) {
 				out[s] = append(out[s], res.idx.LineAt(slot))
 			}
 		}
-	}
-	return out, true
-}
-
-// TouchedSets is TouchedLines in map form (kept for API stability).
-func (res *Result) TouchedSets() (map[int]map[LineID]bool, bool) {
-	perSet, ok := res.TouchedLines()
-	if !ok {
-		return nil, false
-	}
-	out := map[int]map[LineID]bool{}
-	for s, lines := range perSet {
-		if len(lines) == 0 {
-			continue
-		}
-		m := make(map[LineID]bool, len(lines))
-		for _, ln := range lines {
-			m[ln] = true
-		}
-		out[s] = m
 	}
 	return out, true
 }

@@ -637,9 +637,10 @@ func TestClassificationSoundnessRandomLoops(t *testing.T) {
 	}
 }
 
-// TestTouchedSetsMatchesTouchedLines pins the legacy map-shaped wrapper
-// to the dense per-set slices it adapts.
-func TestTouchedSetsMatchesTouchedLines(t *testing.T) {
+// TestTouchedLinesPerSet: TouchedLines reports, per set, exactly the
+// distinct lines of the task's references, each in its own set and
+// ascending.
+func TestTouchedLinesPerSet(t *testing.T) {
 	g := buildGraph(t, `
         li   r1, 20
 loop:   add  r2, r2, r1
@@ -648,32 +649,41 @@ loop:   add  r2, r2, r1
         bne  r1, r0, loop
         halt`)
 	geom := Config{Name: "T", Sets: 4, Ways: 2, LineBytes: 8}
-	res := MustAnalyze(g, FetchStream(g), geom)
-	lines, ok1 := res.TouchedLines()
-	sets, ok2 := res.TouchedSets()
-	if !ok1 || !ok2 {
-		t.Fatal("fetch stream has no unknown refs; both forms must be precise")
+	stream := FetchStream(g)
+	res := MustAnalyze(g, stream, geom)
+	lines, ok := res.TouchedLines()
+	if !ok {
+		t.Fatal("fetch stream has no unknown refs; TouchedLines must be precise")
+	}
+	if len(lines) != geom.Sets {
+		t.Fatalf("%d per-set entries, want %d", len(lines), geom.Sets)
+	}
+	want := map[LineID]bool{}
+	for _, b := range g.Blocks {
+		for _, r := range stream.Refs[b.ID] {
+			ls, _ := geom.RefLines(r)
+			for _, ln := range ls {
+				want[ln] = true
+			}
+		}
 	}
 	total := 0
 	for s, ls := range lines {
-		if len(ls) == 0 {
-			if _, present := sets[s]; present {
-				t.Errorf("set %d: empty in dense form but present in map form", s)
+		for i, ln := range ls {
+			if geom.SetOf(ln) != s {
+				t.Errorf("line %d reported in set %d, maps to %d", ln, s, geom.SetOf(ln))
 			}
-			continue
+			if i > 0 && ls[i-1] >= ln {
+				t.Errorf("set %d: lines not strictly ascending: %v", s, ls)
+			}
+			if !want[ln] {
+				t.Errorf("set %d: line %d is not referenced", s, ln)
+			}
 		}
 		total += len(ls)
-		if len(sets[s]) != len(ls) {
-			t.Errorf("set %d: %d lines dense vs %d map", s, len(ls), len(sets[s]))
-		}
-		for _, ln := range ls {
-			if !sets[s][ln] {
-				t.Errorf("set %d: line %d missing from map form", s, ln)
-			}
-		}
 	}
-	if total == 0 {
-		t.Error("expected touched lines in a straight fetch stream")
+	if total != len(want) || total == 0 {
+		t.Errorf("%d touched lines, want the %d referenced ones", total, len(want))
 	}
 }
 

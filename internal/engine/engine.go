@@ -33,7 +33,6 @@ import (
 
 	"paratime/internal/cachestore"
 	"paratime/internal/core"
-	"paratime/internal/interfere"
 )
 
 // Request is one unit of batch analysis.
@@ -280,16 +279,4 @@ func Requests(tasks []core.Task, sys core.SystemConfig) []Request {
 		reqs[i] = Request{Task: t, Sys: sys}
 	}
 	return reqs
-}
-
-// AnalyzeJoint prepares every co-scheduled task through the engine's
-// pool and memo cache, then runs the shared-L2 joint analysis of §4.1 on
-// the prepared set. It replaces the sequential per-task Prepare loop of
-// the facade's AnalyzeJoint.
-func (e *Engine) AnalyzeJoint(ctx context.Context, tasks []core.Task, sys core.SystemConfig, model interfere.ConflictModel) (*interfere.JointResult, error) {
-	as, err := e.PrepareAll(ctx, Requests(tasks, sys))
-	if err != nil {
-		return nil, err
-	}
-	return interfere.AnalyzeJoint(as, model)
 }

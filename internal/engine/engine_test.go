@@ -139,11 +139,11 @@ func TestCloneIsolation(t *testing.T) {
 		t.Fatalf("stats = %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 	// Corrupt every L2 set of the first clone.
-	shift := map[int]int{}
-	for s := 0; s < as[0].L2.Cfg.Sets; s++ {
+	shift := make([]int, as[0].L2.Cfg.Sets)
+	for s := range shift {
 		shift[s] = as[0].L2.Cfg.Ways
 	}
-	as[0].L2.Reclassify(shift)
+	as[0].L2.ReclassifyShift(shift)
 	if err := as[0].ComputeWCET(); err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +162,16 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestAnalyzeJointMatchesSequential: the engine's joint analysis equals
-// the sequential Prepare-loop version.
+// TestAnalyzeJointMatchesSequential: joint analysis over the engine's
+// prepared set equals the sequential Prepare-loop version.
 func TestAnalyzeJointMatchesSequential(t *testing.T) {
 	sys := testSys()
 	tasks := workload.Suite()[:3]
-	got, err := New(0).AnalyzeJoint(context.Background(), tasks, sys, interfere.AgeShift)
+	prepared, err := New(0).PrepareAll(context.Background(), Requests(tasks, sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := interfere.AnalyzeJoint(prepared, interfere.AgeShift)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,11 +394,11 @@ func TestBackendsPreserveCloneIsolation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shift := map[int]int{}
-			for s := 0; s < as[0].L2.Cfg.Sets; s++ {
+			shift := make([]int, as[0].L2.Cfg.Sets)
+			for s := range shift {
 				shift[s] = as[0].L2.Cfg.Ways
 			}
-			as[0].L2.Reclassify(shift)
+			as[0].L2.ReclassifyShift(shift)
 			if err := as[0].ComputeWCET(); err != nil {
 				t.Fatal(err)
 			}

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"paratime/internal/arbiter"
 	"paratime/internal/cache"
@@ -16,10 +17,8 @@ import (
 	"paratime/internal/engine"
 	"paratime/internal/interfere"
 	"paratime/internal/memctrl"
-	"paratime/internal/partition"
 	"paratime/internal/pipeline"
 	"paratime/internal/report"
-	"paratime/internal/sched"
 	"paratime/internal/sim"
 	"paratime/internal/smt"
 	"paratime/internal/spec"
@@ -52,11 +51,6 @@ var IDs = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9",
 // defaultSys is the canonical default system (one source, shared with
 // the facade and the Scenario decoder).
 func defaultSys() core.SystemConfig { return core.DefaultSystem() }
-
-// simFor abbreviates the shared sim constructor in experiment bodies.
-func simFor(sys core.SystemConfig, mem memctrl.Config, bus arbiter.Arbiter, shared bool, tasks ...core.Task) sim.System {
-	return sim.FromConfig(sys, mem, bus, shared, tasks...)
-}
 
 // Exp01SoloWCET (§2.1): the solo static analysis is safe and reasonably
 // tight on every benchmark: WCET >= simulated cycles, modest ratio.
@@ -139,7 +133,7 @@ func Exp02UnsafeSolo() (*Result, error) {
 	lat := small.HitLatency + mem.Bound()
 	t := report.New("E2: solo WCET vs observed cycles with co-runners (shared L2 + bus)",
 		"co-runners", "victim observed", "solo WCET", "observed/solo")
-	soloSim, err := sim.Run(simFor(sys, mem, nil, true, victim), 200_000_000)
+	soloSim, err := sim.Run(sim.FromConfig(sys, mem, nil, true, victim), 200_000_000)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +145,7 @@ func Exp02UnsafeSolo() (*Result, error) {
 			tasks = append(tasks, workload.LongThrasher(4096, 32, 200, workload.Slot(i+1)))
 		}
 		bus := arbiter.NewRoundRobin(n+1, lat)
-		res, err := sim.Run(simFor(sys, mem, bus, true, tasks...), 500_000_000)
+		res, err := sim.Run(sim.FromConfig(sys, mem, bus, true, tasks...), 500_000_000)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +180,7 @@ func Exp03Measurement() (*Result, error) {
 	observedMax := int64(0)
 	for _, co := range benign {
 		bus := arbiter.NewRoundRobin(2, lat)
-		res, err := sim.Run(simFor(sys, mem, bus, true, victim, co), 500_000_000)
+		res, err := sim.Run(sim.FromConfig(sys, mem, bus, true, victim, co), 500_000_000)
 		if err != nil {
 			return nil, err
 		}
@@ -196,7 +190,7 @@ func Exp03Measurement() (*Result, error) {
 	}
 	// Deployment meets a thrasher.
 	bus := arbiter.NewRoundRobin(2, lat)
-	res, err := sim.Run(simFor(sys, mem, bus, true, victim,
+	res, err := sim.Run(sim.FromConfig(sys, mem, bus, true, victim,
 		workload.Thrasher(4096, 32, workload.Slot(1))), 500_000_000)
 	if err != nil {
 		return nil, err
@@ -241,37 +235,31 @@ func Exp04YanZhang() (*Result, error) {
 // Exp05JointScaling (§4.1): as co-runner count and footprint grow, the
 // victim's L2 classifications collapse toward NC/AM and the WCET
 // over-estimation becomes overwhelming — the survey's scalability
-// concern with joint analysis.
+// concern with joint analysis. Rebased onto the Scenario API: the
+// exported scenario's first n+1 tasks are the victim with n thrashers.
 func Exp05JointScaling() (*Result, error) {
-	sys := defaultSys()
-	sys.Mem.L1I = cache.Config{Name: "L1I", Sets: 4, Ways: 1, LineBytes: 16, HitLatency: 1}
-	l2 := cache.Config{Name: "L2", Sets: 32, Ways: 2, LineBytes: 32, HitLatency: 4}
-	sys.Mem.L2 = &l2
+	scs, err := exportE05()
+	if err != nil {
+		return nil, err
+	}
 	t := report.New("E5: joint-analysis classification collapse with co-runner pressure",
 		"co-runners", "L2 AH", "L2 PS", "L2 AM", "L2 NC", "victim WCET")
 	var metrics map[string]float64
-	for n := 0; n <= 4; n++ {
-		tasks := []core.Task{bigLoopTask(40, 64)}
-		for i := 0; i < n; i++ {
-			tasks = append(tasks, workload.Thrasher(2048, 32, workload.Slot(i+1)))
-		}
-		as, err := prepareAll(tasks, sys)
+	for n := 0; n < len(scs[0].Tasks); n++ {
+		rep, err := runScenario(variant(scs[0], func(sc *spec.Scenario) { sc.Tasks = sc.Tasks[:n+1] }))
 		if err != nil {
 			return nil, err
 		}
-		if n > 0 {
-			if err := interfere.Apply(as[0], as, interfere.AgeShift); err != nil {
-				return nil, err
-			}
-		} else if err := as[0].ComputeWCET(); err != nil {
-			return nil, err
+		victim := rep.Tasks[0]
+		var ah, am, ps, nc int
+		_, l2, _ := strings.Cut(victim.Classes, "L2[")
+		if _, err := fmt.Sscanf(l2, "AH=%d AM=%d PS=%d NC=%d]", &ah, &am, &ps, &nc); err != nil {
+			return nil, fmt.Errorf("e5: L2 classes in %q: %w", victim.Classes, err)
 		}
-		c := as[0].L2.CountClasses()
-		t.Add(n, c[cache.AlwaysHit], c[cache.Persistent], c[cache.AlwaysMiss],
-			c[cache.NotClassified], as[0].WCET)
+		t.Add(n, ah, ps, am, nc, victim.WCET)
 		metrics = map[string]float64{
-			"nc_at_max": float64(c[cache.NotClassified]),
-			"wcet":      float64(as[0].WCET),
+			"nc_at_max": float64(nc),
+			"wcet":      float64(victim.WCET),
 		}
 	}
 	return &Result{Table: t, Metrics: metrics}, nil
@@ -279,90 +267,53 @@ func Exp05JointScaling() (*Result, error) {
 
 // Exp06Lifetime (§4.1): Li et al.'s lifetime refinement removes
 // conflicts between tasks whose schedule windows cannot overlap.
+// Rebased onto the Scenario API: the exported lifetime scenario gives
+// the solo and refined columns, the same scenario without lifetimes the
+// all-overlap column.
 func Exp06Lifetime() (*Result, error) {
-	sys := defaultSys()
-	sys.Mem.L1I = cache.Config{Name: "L1I", Sets: 4, Ways: 1, LineBytes: 16, HitLatency: 1}
-	l2 := cache.Config{Name: "L2", Sets: 32, Ways: 2, LineBytes: 32, HitLatency: 4}
-	sys.Mem.L2 = &l2
-	// Bases 0x4000 apart alias onto the same L2 sets: every pair of
-	// overlapping tasks fully conflicts, which is exactly when lifetime
-	// separation pays off.
-	tasks := []core.Task{
-		bigLoopTaskAt(30, 48, 0x1000),
-		bigLoopTaskAt(30, 48, 0x5000),
-		bigLoopTaskAt(30, 48, 0x9000),
-	}
-	as, err := prepareAll(tasks, sys)
+	scs, err := exportE06()
 	if err != nil {
 		return nil, err
 	}
-	specs := []sched.TaskSpec{
-		{Name: tasks[0].Name, Core: 0, Priority: 0},
-		{Name: tasks[1].Name, Core: 1, Priority: 0, Deps: []int{0}}, // serialized after 0
-		{Name: tasks[2].Name, Core: 2, Priority: 0},
+	refined, err := runScenario(scs[0])
+	if err != nil {
+		return nil, err
 	}
-	res, err := interfere.AnalyzeWithLifetimes(as, specs, interfere.AgeShift)
+	overlap, err := runScenario(variant(scs[0], func(sc *spec.Scenario) { sc.Mode.Lifetimes = nil }))
 	if err != nil {
 		return nil, err
 	}
 	t := report.New("E6: all-overlap joint WCET vs lifetime-refined (Li et al.)",
 		"task", "solo", "all-overlap", "refined", "saved")
 	saved := 0.0
-	for i := range res.Names {
-		d := res.JointWCET[i] - res.RefinedWCET[i]
+	for i, r := range refined.Tasks {
+		d := overlap.Tasks[i].WCET - r.WCET
 		saved += float64(d)
-		t.Add(res.Names[i], res.SoloWCET[i], res.JointWCET[i], res.RefinedWCET[i], d)
+		t.Add(r.Name, r.SoloWCET, overlap.Tasks[i].WCET, r.WCET, d)
 	}
-	return &Result{Table: t, Metrics: map[string]float64{"total_saved": saved,
-		"iterations": float64(res.Iterations)}}, nil
+	return &Result{Table: t, Metrics: map[string]float64{"total_saved": saved}}, nil
 }
 
 // Exp07Bypass (§4.1): bypassing single-usage blocks removes their L2
 // pollution and tightens the co-runners' joint WCETs (Hardy et al.).
+// Rebased onto the Scenario API: the exported scenario bypasses the
+// single-usage task's references; the same scenario without bypass is
+// the baseline.
 func Exp07Bypass() (*Result, error) {
-	sys := defaultSys()
-	l2 := cache.Config{Name: "L2", Sets: 16, Ways: 2, LineBytes: 32, HitLatency: 4}
-	sys.Mem.L2 = &l2
-	sys.Mem.L1I = cache.Config{Name: "L1I", Sets: 4, Ways: 1, LineBytes: 16, HitLatency: 1}
-	mk := func() ([]*core.Analysis, error) {
-		// Task with single-usage straight-line loads placed two-deep on
-		// the victim's L2 sets (two foreign lines exceed the 2-way
-		// associativity), plus the loop victim itself.
-		onceSrc := `
-        li   r3, 0x6000
-        ld   r2, 0(r3)
-        ld   r4, 64(r3)
-        ld   r5, 0x200(r3)
-        ld   r6, 0x240(r3)
-        ld   r7, 0x400(r3)
-        halt
-.data 0x6000
-        .word 1`
-		once := core.Task{Name: "once", Prog: mustAsm("once", onceSrc)}
-		once.Prog.Rebase(0x3000)
-		victim := bigLoopTaskAt(30, 48, 0x1000)
-		return prepareAll([]core.Task{once, victim}, sys)
-	}
-	as, err := mk()
+	scs, err := exportE07()
 	if err != nil {
 		return nil, err
 	}
-	if err := interfere.Apply(as[1], as, interfere.AgeShift); err != nil {
-		return nil, err
-	}
-	without := as[1].WCET
-	as2, err := mk()
+	bypass, err := runScenario(scs[0])
 	if err != nil {
 		return nil, err
 	}
-	nBypassed, err := interfere.ApplyBypass(as2[0])
+	plain, err := runScenario(variant(scs[0], func(sc *spec.Scenario) { sc.Tasks[0].Bypass = false }))
 	if err != nil {
 		return nil, err
 	}
-	if err := interfere.Apply(as2[1], as2, interfere.AgeShift); err != nil {
-		return nil, err
-	}
-	with := as2[1].WCET
+	without, with := plain.Tasks[1].WCET, bypass.Tasks[1].WCET
+	nBypassed := bypass.Tasks[0].BypassedRefs
 	t := report.New("E7: single-usage L2 bypass (Hardy et al.)",
 		"configuration", "victim joint WCET")
 	t.Add("no bypass", without)
@@ -375,45 +326,33 @@ func Exp07Bypass() (*Result, error) {
 
 // Exp08PartitionLocking (§4.2, Suhendra & Mitra): core-based partitioning
 // beats task-based; dynamic locking beats static on phased workloads.
+// Rebased onto the Scenario API: the four exported scenarios are the
+// task-based and core-based partitionings and the static and dynamic
+// lockings.
 func Exp08PartitionLocking() (*Result, error) {
-	sys := defaultSys()
-	l2 := cache.Config{Name: "L2", Sets: 32, Ways: 4, LineBytes: 32, HitLatency: 4}
-	sys.Mem.L2 = &l2
-	tasks := []core.Task{
-		workload.MemCopy(48, workload.Slot(0)),
-		workload.CRC(12, workload.Slot(1)),
-		workload.FIR(12, 4, workload.Slot(2)),
-		workload.CountBits(6, workload.Slot(3)),
-	}
-	taskW, err := partition.WCETs(tasks, sys, partition.TaskBased, nil, 2)
+	scs, err := exportE08()
 	if err != nil {
 		return nil, err
 	}
-	coreW, err := partition.WCETs(tasks, sys, partition.CoreBased, []int{0, 0, 1, 1}, 2)
-	if err != nil {
-		return nil, err
+	reps := make([]*spec.Report, len(scs))
+	for i, sc := range scs {
+		if reps[i], err = runScenario(sc); err != nil {
+			return nil, err
+		}
 	}
+	taskW, coreW, st, dy := reps[0], reps[1], reps[2].Tasks[0].WCET, reps[3].Tasks[0].WCET
 	t := report.New("E8: partitioning scheme × locking (4 tasks, 2 cores)",
 		"task", "task-based WCET", "core-based WCET")
 	var sumT, sumC float64
-	for i := range tasks {
-		sumT += float64(taskW[i])
-		sumC += float64(coreW[i])
-		t.Add(tasks[i].Name, taskW[i], coreW[i])
+	for i, tr := range taskW.Tasks {
+		sumT += float64(tr.WCET)
+		sumC += float64(coreW.Tasks[i].WCET)
+		t.Add(tr.Name, tr.WCET, coreW.Tasks[i].WCET)
 	}
-	phased := phasedTask()
-	st, err := partition.StaticLock(phased, sys, 40)
-	if err != nil {
-		return nil, err
-	}
-	dy, err := partition.DynamicLock(phased, sys, 40)
-	if err != nil {
-		return nil, err
-	}
-	t.Add("-- locking (phased task) --", "static "+fmt.Sprint(st.WCET), "dynamic "+fmt.Sprint(dy.WCET))
+	t.Add("-- locking (phased task) --", "static "+fmt.Sprint(st), "dynamic "+fmt.Sprint(dy))
 	return &Result{Table: t, Metrics: map[string]float64{
 		"taskbased_sum": sumT, "corebased_sum": sumC,
-		"static_lock": float64(st.WCET), "dynamic_lock": float64(dy.WCET),
+		"static_lock": float64(st), "dynamic_lock": float64(dy),
 	}}, nil
 }
 
@@ -574,19 +513,26 @@ func Exp13MBBA() (*Result, error) {
 
 // Exp14CarCore (§5.3, Mische et al.): the HRT's execution time is exactly
 // its solo time under every co-runner mix; NHRTs advance in leftover
-// slots only.
+// slots only. The HRT's bound is the report of the exported solo
+// scenario.
 func Exp14CarCore() (*Result, error) {
-	sys := defaultSys()
-	mem := memctrl.DefaultConfig()
-	victim := workload.CRC(12, workload.Slot(0))
-	solo, err := sim.Run(simFor(sys, mem, nil, false, victim), 200_000_000)
+	scs, err := exportE14()
 	if err != nil {
 		return nil, err
 	}
-	a, err := core.Analyze(victim, sys)
+	rep, err := runScenario(scs[0])
 	if err != nil {
 		return nil, err
 	}
+	victim, err := scs[0].Tasks[0].BuildTask()
+	if err != nil {
+		return nil, err
+	}
+	solo, err := sim.Run(sim.FromConfig(defaultSys(), memctrl.DefaultConfig(), nil, false, victim), 200_000_000)
+	if err != nil {
+		return nil, err
+	}
+	wcet := rep.Tasks[0].WCET
 	t := report.New("E14: CarCore HRT isolation",
 		"NHRTs", "HRT cycles", "HRT WCET (solo analysis)", "NHRT insts retired")
 	for n := 0; n <= 3; n++ {
@@ -602,10 +548,10 @@ func Exp14CarCore() (*Result, error) {
 		for _, r := range res.NHRTRetired {
 			retired += r
 		}
-		t.Add(n, res.HRTCycles, a.WCET, retired)
+		t.Add(n, res.HRTCycles, wcet, retired)
 	}
 	return &Result{Table: t, Metrics: map[string]float64{
-		"hrt_cycles": float64(solo.Cycles(0)), "hrt_wcet": float64(a.WCET),
+		"hrt_cycles": float64(solo.Cycles(0)), "hrt_wcet": float64(wcet),
 	}}, nil
 }
 

@@ -13,17 +13,29 @@ import (
 
 // Exporter builds the Scenario form of one experiment's analysis
 // requests. An experiment may export several scenarios (e.g. one per
-// co-runner count, or one per compared configuration); `paratime run`
-// on the exported set reproduces the experiment's WCET numbers exactly,
-// because the rebased experiments execute these same scenarios.
+// co-runner count, or one per compared configuration).
 type Exporter func() ([]*spec.Scenario, error)
 
-// Exporters maps experiment ids to scenario constructors. Experiments
-// absent here (e2, e3, e10, e17, e18) are measurement campaigns or pure
-// state-space computations with no per-task WCET request to serialize;
-// together the present ones cover every §3–§5 regime: solo, joint
-// DirectMapped/AgeShift (with lifetimes and bypass), partitioning and
-// locking, round-robin/TDMA/MBBA buses, SMT, and PRET.
+// Exporters maps experiment ids to scenario constructors; together they
+// cover every §3–§5 regime: solo, joint DirectMapped/AgeShift (with
+// lifetimes and bypass), partitioning and locking,
+// round-robin/TDMA/MBBA buses, SMT, and PRET.
+//
+// The runners of e1, e4–e9, e12, e13, e15 and e16 take every bound in
+// their tables from spec.Run over these scenarios, or over variants of
+// them: e5 runs prefixes of its task list, e6 drops the lifetimes, e7
+// the bypass, and e15 runs its constructor at every co-runner count, of
+// which the export keeps the two extremes. So `paratime run` on the
+// exported set reproduces their WCET numbers exactly. (E16's
+// shared-queue starvation rows are a closed form, not a bound.) E14
+// takes its HRT bound from its export; its CarCore co-run simulation
+// has no scenario form. E11's table is an offset-set computation over
+// synthetic path stages; its export is the TDMA bus regime over real
+// tasks.
+//
+// E2, e3, e10, e17 and e18 have no export: they are measurement
+// campaigns or pure state-space computations with no per-task WCET
+// request, and serializing them would need new Report fields.
 var Exporters = map[string]Exporter{
 	"e1":  exportE01,
 	"e4":  exportE04,
@@ -195,6 +207,9 @@ func exportE06() ([]*spec.Scenario, error) {
 	sys.Mem.L1I = cache.Config{Name: "L1I", Sets: 4, Ways: 1, LineBytes: 16, HitLatency: 1}
 	l2 := cache.Config{Name: "L2", Sets: 32, Ways: 2, LineBytes: 32, HitLatency: 4}
 	sys.Mem.L2 = &l2
+	// Bases 0x4000 apart alias onto the same L2 sets: every pair of
+	// overlapping tasks fully conflicts, which is exactly when lifetime
+	// separation pays off.
 	tasks := []core.Task{
 		bigLoopTaskAt(30, 48, 0x1000),
 		bigLoopTaskAt(30, 48, 0x5000),
@@ -212,6 +227,9 @@ func exportE07() ([]*spec.Scenario, error) {
 	l2 := cache.Config{Name: "L2", Sets: 16, Ways: 2, LineBytes: 32, HitLatency: 4}
 	sys.Mem.L2 = &l2
 	sys.Mem.L1I = cache.Config{Name: "L1I", Sets: 4, Ways: 1, LineBytes: 16, HitLatency: 1}
+	// A task with single-usage straight-line loads placed two-deep on
+	// the victim's L2 sets (two foreign lines exceed the 2-way
+	// associativity), plus the loop victim itself.
 	once := core.Task{Name: "once", Prog: mustAsm("once", `
         li   r3, 0x6000
         ld   r2, 0(r3)

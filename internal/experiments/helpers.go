@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"paratime/internal/arbiter"
 	"paratime/internal/cfg"
@@ -14,9 +15,6 @@ import (
 	"paratime/internal/spec"
 	"paratime/internal/workload"
 )
-
-// progT abbreviates the program type in experiment bodies.
-type progT = isa.Program
 
 // eng is the package-shared batch engine: every experiment's analysis
 // fan-out goes through one pool and one memo cache, so experiments that
@@ -30,16 +28,20 @@ func analyzeAll(reqs []engine.Request) ([]*core.Analysis, error) {
 	return eng.AnalyzeAll(context.Background(), reqs)
 }
 
-// prepareAll batches the analysis prefix for tasks sharing one system
-// configuration (the joint-analysis shape).
-func prepareAll(tasks []core.Task, sys core.SystemConfig) ([]*core.Analysis, error) {
-	return eng.PrepareAll(context.Background(), engine.Requests(tasks, sys))
-}
-
 // runScenario executes one scenario on the package-shared engine; the
 // rebased experiments build their requests declaratively through it.
 func runScenario(sc *spec.Scenario) (*spec.Report, error) {
 	return spec.Run(context.Background(), sc, eng)
+}
+
+// variant returns a copy of sc, changed by edit, that shares no task
+// list with sc: the rebased experiments derive their compared
+// configurations from one exported scenario.
+func variant(sc *spec.Scenario, edit func(*spec.Scenario)) *spec.Scenario {
+	v := *sc
+	v.Tasks = slices.Clone(sc.Tasks)
+	edit(&v)
+	return &v
 }
 
 func boolMetric(b bool) float64 {
@@ -47,11 +49,6 @@ func boolMetric(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func withBus(sys core.SystemConfig, d int) core.SystemConfig {
-	sys.Mem.BusDelay = d
-	return sys
 }
 
 func mustAsm(name, src string) *isa.Program { return isa.MustAssemble(name, src) }

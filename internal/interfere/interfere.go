@@ -166,8 +166,6 @@ type LifetimeResult struct {
 	// RefinedWCET accounts only for co-runners whose lifetime windows may
 	// overlap (Li et al.'s iterative refinement).
 	RefinedWCET []int64
-	Windows     []sched.Window
-	Iterations  int
 }
 
 // maxRefineIter bounds the WCET/lifetime alternation.
@@ -195,8 +193,7 @@ func AnalyzeWithLifetimes(analyses []*core.Analysis, specs []sched.TaskSpec, mod
 	// still separate through the precedence structure. Use the solo WCET
 	// as an optimistic-but-common BCET surrogate only when asked; here we
 	// stay safe with zero.
-	for iter := 1; iter <= maxRefineIter; iter++ {
-		res.Iterations = iter
+	for range maxRefineIter {
 		for i := range specs {
 			specs[i].BCET = 0
 			specs[i].WCET = cur[i]
@@ -205,7 +202,6 @@ func AnalyzeWithLifetimes(analyses []*core.Analysis, specs []sched.TaskSpec, mod
 		if err != nil {
 			return nil, err
 		}
-		res.Windows = win
 		overlap := sched.MayOverlap(specs, win)
 		next := make([]int64, len(analyses))
 		for i, a := range analyses {

@@ -138,9 +138,6 @@ func TestLifetimeRefinementTightens(t *testing.T) {
 				res.Names[i], res.RefinedWCET[i], res.SoloWCET[i])
 		}
 	}
-	if res.Iterations < 1 {
-		t.Error("no iterations recorded")
-	}
 }
 
 func TestBypassReducesConflicts(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // benchProblem builds an IPET model of realistic shape: a three-deep
 // loop nest with branching bodies, per-block costs, persistence events
 // in every loop scope, and one extra path constraint.
-func benchProblem(tb testing.TB) *Problem {
+func benchProblem(tb testing.TB) *problem {
 	src := `
         li   r1, 8
 outer:  li   r2, 6
@@ -62,7 +62,7 @@ next:   addi r3, r3, -1
 		Rel:   flow.RelLE,
 		RHS:   100,
 	}}
-	return &Problem{G: g, Cost: costs, Events: events, Extra: extra}
+	return &problem{G: g, Cost: costs, Events: events, Extra: extra}
 }
 
 // BenchmarkIPETSolve is one cold WCET computation: model construction
@@ -72,7 +72,7 @@ func BenchmarkIPETSolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p); err != nil {
+		if _, err := solve(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkIPETResolve(b *testing.B) {
 			for id, c := range p.Cost {
 				q.Cost[id] = c + v
 			}
-			if _, err := Solve(&q); err != nil {
+			if _, err := solve(&q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -127,11 +127,11 @@ j2:     halt`
 	for _, bl := range g.Blocks {
 		costs[bl.ID] = 2 * bl.Len()
 	}
-	p := &Problem{G: g, Cost: costs}
+	p := &problem{G: g, Cost: costs}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(p); err != nil {
+		if _, err := solve(p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,17 +47,6 @@ type Event struct {
 	Scope   *cfg.Loop
 }
 
-// Problem is one WCET computation.
-type Problem struct {
-	G *cfg.Graph
-	// Cost is the base worst-case cost of each block per execution.
-	Cost map[cfg.BlockID]int
-	// Events are extra charges (persistence misses, arbitration delays).
-	Events []Event
-	// Extra are additional linear path constraints (infeasible paths etc.).
-	Extra []flow.Constraint
-}
-
 // Result is the outcome of a WCET computation.
 type Result struct {
 	WCET        int64
@@ -393,28 +382,6 @@ func (s *Skeleton) solveDAG(cost []int, events []Event) (*Result, bool) {
 	return res, true
 }
 
-// Solve formulates and solves the IPET ILP for a one-shot problem.
-// Callers re-pricing the same CFG repeatedly should build a Skeleton
-// once and call its Solve instead.
-func Solve(p *Problem) (*Result, error) {
-	s, err := NewSkeleton(p.G, p.Extra)
-	if err != nil {
-		return nil, err
-	}
-	return s.Solve(DenseCosts(p.G, p.Cost), p.Events)
-}
-
-// DenseCosts lowers a per-block cost map to the dense vector
-// Skeleton.Solve consumes (block IDs equal RPO positions).
-func DenseCosts(g *cfg.Graph, cost map[cfg.BlockID]int) []int {
-	dense := make([]int, len(g.Blocks))
-	//paralint:unordered scatter into a dense vector; each block ID is written once
-	for id, c := range cost {
-		dense[id] = c
-	}
-	return dense
-}
-
 func ratInt(r *big.Rat) int64 {
 	if !r.IsInt() {
 		// The caller checked the objective; variable values at an integer
@@ -422,34 +389,4 @@ func ratInt(r *big.Rat) int64 {
 		panic(fmt.Sprintf("ipet: non-integral solution value %s", r.RatString()))
 	}
 	return r.Num().Int64()
-}
-
-// SolveDAGLongest computes the longest entry→exit path of a loop-free
-// graph by dynamic programming over the reverse post-order. It is the
-// independent cross-check used by tests: on loop-free programs without
-// extra constraints IPET must agree exactly.
-func SolveDAGLongest(g *cfg.Graph, cost map[cfg.BlockID]int) (int64, error) {
-	if len(g.Loops) != 0 {
-		return 0, fmt.Errorf("SolveDAGLongest: graph has loops")
-	}
-	best := map[cfg.BlockID]int64{}
-	blocks := g.RPO()
-	for _, b := range blocks {
-		base := int64(cost[b.ID])
-		if b == g.Entry {
-			best[b.ID] = base
-			continue
-		}
-		max := int64(-1)
-		for _, e := range b.Preds {
-			if v, ok := best[e.From.ID]; ok && v > max {
-				max = v
-			}
-		}
-		if max < 0 {
-			return 0, fmt.Errorf("SolveDAGLongest: block %v unreachable", b)
-		}
-		best[b.ID] = max + base
-	}
-	return best[g.Exit.ID], nil
 }

@@ -31,7 +31,7 @@ func unitCosts(g *cfg.Graph) map[cfg.BlockID]int {
 
 func TestStraightLine(t *testing.T) {
 	g := buildGraph(t, "li r1, 1\nadd r2, r1, r1\nhalt")
-	res, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+	res, err := solve(&problem{G: g, Cost: unitCosts(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestDiamondTakesMax(t *testing.T) {
 cheap:  addi r2, r0, 1
 join:   halt`)
 	costs := unitCosts(g)
-	res, err := Solve(&Problem{G: g, Cost: costs})
+	res, err := solve(&problem{G: g, Cost: costs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ loop:   add  r2, r2, r1
 	if _, _, err := flow.BoundAll(g, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+	res, err := solve(&problem{G: g, Cost: unitCosts(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ inner:  add  r4, r4, r2
 	if _, _, err := flow.BoundAll(g, nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+	res, err := solve(&problem{G: g, Cost: unitCosts(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ loop:   add  r2, r2, r1
 		t.Fatal(err)
 	}
 	l := g.Loops[0]
-	base, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+	base, err := solve(&problem{G: g, Cost: unitCosts(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withPS, err := Solve(&Problem{
+	withPS, err := solve(&problem{
 		G:    g,
 		Cost: unitCosts(g),
 		Events: []Event{
@@ -172,8 +172,8 @@ loop:   add  r2, r2, r1
 		t.Fatal(err)
 	}
 	l := g.Loops[0]
-	base, _ := Solve(&Problem{G: g, Cost: unitCosts(g)})
-	res, err := Solve(&Problem{
+	base, _ := solve(&problem{G: g, Cost: unitCosts(g)})
+	res, err := solve(&problem{
 		G:      g,
 		Cost:   unitCosts(g),
 		Events: []Event{{Name: "bus", Block: l.Header.ID, Penalty: 7}},
@@ -215,11 +215,11 @@ next:   addi r1, r1, -1
 	if exp == nil {
 		t.Fatalf("no expensive block found\n%s", g.Dump())
 	}
-	unconstrained, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+	unconstrained, err := solve(&problem{G: g, Cost: unitCosts(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	constrained, err := Solve(&Problem{
+	constrained, err := solve(&problem{
 		G:    g,
 		Cost: unitCosts(g),
 		Extra: []flow.Constraint{{
@@ -250,14 +250,14 @@ func TestUnboundedLoopRejected(t *testing.T) {
 loop:   addi r1, r1, -1
         bne  r1, r0, loop
         halt`)
-	if _, err := Solve(&Problem{G: g, Cost: unitCosts(g)}); err == nil {
+	if _, err := solve(&problem{G: g, Cost: unitCosts(g)}); err == nil {
 		t.Fatal("unbounded loop accepted")
 	}
 }
 
 func TestContradictoryConstraintsRejected(t *testing.T) {
 	g := buildGraph(t, "li r1, 1\nhalt")
-	_, err := Solve(&Problem{
+	_, err := solve(&problem{
 		G:    g,
 		Cost: unitCosts(g),
 		Extra: []flow.Constraint{{
@@ -278,7 +278,7 @@ func TestSolveDAGLongestRejectsLoops(t *testing.T) {
 loop:   addi r1, r1, -1
         bne  r1, r0, loop
         halt`)
-	if _, err := SolveDAGLongest(g, unitCosts(g)); err == nil {
+	if _, err := solveDAGLongest(g, unitCosts(g)); err == nil {
 		t.Fatal("loopy graph accepted by DAG solver")
 	}
 }
@@ -312,11 +312,11 @@ func TestIPETMatchesDAGLongestRandom(t *testing.T) {
 		for _, b := range g.Blocks {
 			costs[b.ID] = rng.Intn(50)
 		}
-		want, err := SolveDAGLongest(g, costs)
+		want, err := solveDAGLongest(g, costs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(&Problem{G: g, Cost: costs})
+		res, err := solve(&problem{G: g, Cost: costs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +349,7 @@ inner:  add  r4, r4, r2
 		if _, _, err := flow.BoundAll(g, nil); err != nil {
 			t.Fatal(err)
 		}
-		res, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+		res, err := solve(&problem{G: g, Cost: unitCosts(g)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -362,7 +362,7 @@ inner:  add  r4, r4, r2
 
 func TestResultStats(t *testing.T) {
 	g := buildGraph(t, "li r1, 1\nhalt")
-	res, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+	res, err := solve(&problem{G: g, Cost: unitCosts(g)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,11 +31,11 @@ func TestSkeletonReSolveMatchesFresh(t *testing.T) {
 		for i := range events {
 			events[i].Penalty = int64(5 + rng.Intn(40))
 		}
-		got, err := s.Solve(DenseCosts(p.G, costs), events)
+		got, err := s.Solve(denseCosts(p.G, costs), events)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Solve(&Problem{G: p.G, Cost: costs, Events: events, Extra: p.Extra})
+		want, err := solve(&problem{G: p.G, Cost: costs, Events: events, Extra: p.Extra})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,11 +71,11 @@ func TestSkeletonWarmSolvesSkipPhase1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := s.Solve(DenseCosts(p.G, p.Cost), p.Events)
+	cold, err := s.Solve(denseCosts(p.G, p.Cost), p.Events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s.Solve(DenseCosts(p.G, p.Cost), p.Events)
+	warm, err := s.Solve(denseCosts(p.G, p.Cost), p.Events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSkeletonConcurrentSolve(t *testing.T) {
 		return costs
 	}
 	for d := range want {
-		res, err := Solve(&Problem{G: p.G, Cost: variantCost(d), Events: p.Events, Extra: p.Extra})
+		res, err := solve(&problem{G: p.G, Cost: variantCost(d), Events: p.Events, Extra: p.Extra})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestSkeletonConcurrentSolve(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			d := i % 8
-			res, err := s.Solve(DenseCosts(p.G, variantCost(d)), p.Events)
+			res, err := s.Solve(denseCosts(p.G, variantCost(d)), p.Events)
 			if err != nil {
 				errs[i] = err
 				return
@@ -164,16 +164,16 @@ func TestSolveAcyclicMatchesDAGLongest(t *testing.T) {
 		for _, b := range g.Blocks {
 			costs[b.ID] = rng.Intn(40)
 		}
-		res, err := Solve(&Problem{G: g, Cost: costs})
+		res, err := solve(&problem{G: g, Cost: costs})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := SolveDAGLongest(g, costs)
+		want, err := solveDAGLongest(g, costs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.WCET != want {
-			t.Fatalf("trial %d: Solve %d != SolveDAGLongest %d", trial, res.WCET, want)
+			t.Fatalf("trial %d: solve %d != solveDAGLongest %d", trial, res.WCET, want)
 		}
 		if res.Nodes != 1 || res.Pivots != 0 || res.Vars <= 0 || res.Cons <= 0 {
 			t.Fatalf("trial %d: fast-path stats wrong: %+v", trial, res)
@@ -217,11 +217,11 @@ func TestSolveAcyclicMatchesDAGLongest(t *testing.T) {
 // ride the fast path as cost increments.
 func TestAcyclicPerExecutionEventsFold(t *testing.T) {
 	g := buildGraph(t, "li r1, 1\nadd r2, r1, r1\nhalt")
-	base, err := Solve(&Problem{G: g, Cost: unitCosts(g)})
+	base, err := solve(&problem{G: g, Cost: unitCosts(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(&Problem{
+	res, err := solve(&problem{
 		G:      g,
 		Cost:   unitCosts(g),
 		Events: []Event{{Block: g.Entry.ID, Penalty: 11}},
@@ -262,7 +262,7 @@ join:   halt`)
 	if exp == nil {
 		t.Fatalf("expensive block not found\n%s", g.Dump())
 	}
-	res, err := Solve(&Problem{
+	res, err := solve(&problem{
 		G:    g,
 		Cost: unitCosts(g),
 		Extra: []flow.Constraint{{

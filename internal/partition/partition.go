@@ -21,26 +21,6 @@ import (
 	"paratime/internal/ipet"
 )
 
-// Scheme selects who owns a partition.
-type Scheme uint8
-
-// Partitioning schemes.
-const (
-	// TaskBased gives every task its own slice of the shared cache.
-	TaskBased Scheme = iota
-	// CoreBased gives every core a slice shared by its (serialized)
-	// tasks; with more tasks than cores each task sees a bigger slice,
-	// which is why Suhendra & Mitra find it superior.
-	CoreBased
-)
-
-func (s Scheme) String() string {
-	if s == TaskBased {
-		return "task-based"
-	}
-	return "core-based"
-}
-
 // floorPow2 returns the largest power of two <= n (and >= 1).
 func floorPow2(n int) int {
 	p := 1
@@ -92,36 +72,6 @@ func Bankize(l2 cache.Config, banks, totalBanks int) (cache.Config, error) {
 	out := l2
 	out.Sets = sets
 	out.Name = fmt.Sprintf("%s/bank%dof%d", l2.Name, banks, totalBanks)
-	return out, nil
-}
-
-// WCETs analyzes every task against its private partition view and
-// returns the per-task WCETs. assignCore maps task index to core
-// (CoreBased only).
-func WCETs(tasks []core.Task, sys core.SystemConfig, scheme Scheme, assignCore []int, nCores int) ([]int64, error) {
-	if sys.Mem.L2 == nil {
-		return nil, fmt.Errorf("partition: no shared L2 in system config")
-	}
-	owners := len(tasks)
-	if scheme == CoreBased {
-		owners = nCores
-	}
-	private, err := SetPartition(*sys.Mem.L2, owners)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(tasks))
-	for i, task := range tasks {
-		s := sys
-		p := private
-		s.Mem.L2 = &p
-		a, err := core.Analyze(task, s)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = a.WCET
-	}
-	_ = assignCore // the even split makes the core mapping immaterial here
 	return out, nil
 }
 

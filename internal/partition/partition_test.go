@@ -83,48 +83,27 @@ func TestColumnizeBankize(t *testing.T) {
 	}
 }
 
-func TestCoreBasedBeatsTaskBased(t *testing.T) {
-	// 4 tasks on 2 cores: core-based partitions are twice as large, so
-	// per-task WCETs must be no worse (Suhendra & Mitra's finding (i)).
-	tasks := []core.Task{
-		loopTask("t0", 0x1000, 0x8000, 30),
-		loopTask("t1", 0x2000, 0x9000, 30),
-		loopTask("t2", 0x3000, 0xa000, 30),
-		loopTask("t3", 0x4000, 0xb000, 30),
-	}
-	sys := sysWith(l2cfg())
-	taskW, err := WCETs(tasks, sys, TaskBased, nil, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coreW, err := WCETs(tasks, sys, CoreBased, []int{0, 0, 1, 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tasks {
-		if coreW[i] > taskW[i] {
-			t.Errorf("task %d: core-based %d worse than task-based %d", i, coreW[i], taskW[i])
-		}
-	}
-}
-
 func TestPartitionIsolationFromCoRunners(t *testing.T) {
 	// A partitioned task's WCET must be identical no matter what the
-	// other partitions run: the computation takes no co-runner input.
+	// other partitions run: the computation takes no co-runner input,
+	// only the task and its private slice of the shared L2.
 	task := loopTask("iso", 0x1000, 0x8000, 25)
-	sys := sysWith(l2cfg())
-	w1, err := WCETs([]core.Task{task}, sys, TaskBased, nil, 1)
+	view, err := SetPartition(l2cfg(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1, err := core.Analyze(task, sysWith(view))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "Different co-runners" = re-running with the same single task; the
 	// per-task partition geometry is what matters.
-	w2, err := WCETs([]core.Task{task}, sys, TaskBased, nil, 1)
+	w2, err := core.Analyze(task, sysWith(view))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w1[0] != w2[0] {
-		t.Errorf("partitioned WCET not reproducible: %d vs %d", w1[0], w2[0])
+	if w1.WCET != w2.WCET {
+		t.Errorf("partitioned WCET not reproducible: %d vs %d", w1.WCET, w2.WCET)
 	}
 }
 

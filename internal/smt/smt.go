@@ -70,6 +70,20 @@ func (c PretConfig) AnalyzeWCET(prog *isa.Program, facts *flow.Facts) (int64, er
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
+	wheelBound := int64(c.wheel().Bound(0)) // same for every thread
+	return boundWCET(prog, facts, func(in isa.Inst) int64 {
+		cost := c.instCycles(in)
+		if in.IsMem() {
+			cost += wheelBound + int64(c.MemLatency)
+		}
+		return cost
+	})
+}
+
+// boundWCET builds prog's CFG, bounds its loops from facts and prices it
+// through IPET with a per-instruction cost: the block cost is the sum of
+// its instructions' costs.
+func boundWCET(prog *isa.Program, facts *flow.Facts, instCost func(isa.Inst) int64) (int64, error) {
 	g, err := cfg.Build(prog)
 	if err != nil {
 		return 0, err
@@ -77,33 +91,30 @@ func (c PretConfig) AnalyzeWCET(prog *isa.Program, facts *flow.Facts) (int64, er
 	if _, _, err := flow.BoundAll(g, facts); err != nil {
 		return 0, err
 	}
-	wheelBound := int64(c.wheel().Bound(0)) // same for every thread
-	costs := map[cfg.BlockID]int{}
+	cost := make([]int, len(g.Blocks)) // indexed by block ID
 	for _, b := range g.Blocks {
 		if b.IsExit() {
 			continue
 		}
-		var cost int64
+		var bc int64
 		for _, in := range b.Insts() {
-			cost += c.instCycles(in)
-			if in.IsMem() {
-				cost += wheelBound + int64(c.MemLatency)
-			}
+			bc += instCost(in)
 		}
-		costs[b.ID] = int(cost)
+		cost[b.ID] = int(bc)
 	}
-	res, err := ipet.Solve(&ipet.Problem{G: g, Cost: costs, Extra: factsConstraints(facts)})
+	var extra []flow.Constraint
+	if facts != nil {
+		extra = facts.Constraints
+	}
+	s, err := ipet.NewSkeleton(g, extra)
+	if err != nil {
+		return 0, err
+	}
+	res, err := s.Solve(cost, nil)
 	if err != nil {
 		return 0, err
 	}
 	return res.WCET, nil
-}
-
-func factsConstraints(f *flow.Facts) []flow.Constraint {
-	if f == nil {
-		return nil
-	}
-	return f.Constraints
 }
 
 // SimulatePret executes the given threads on the interleaved core and
@@ -233,33 +244,13 @@ func (c BarreConfig) IssueBound() int { return (c.Threads - 1) * c.FULatency }
 // issue bound; memory instructions add MemLatency. The bound holds for
 // any co-running HRTs.
 func (c BarreConfig) AnalyzeWCET(prog *isa.Program, facts *flow.Facts) (int64, error) {
-	g, err := cfg.Build(prog)
-	if err != nil {
-		return 0, err
-	}
-	if _, _, err := flow.BoundAll(g, facts); err != nil {
-		return 0, err
-	}
 	per := int64(c.FULatency + c.IssueBound())
-	costs := map[cfg.BlockID]int{}
-	for _, b := range g.Blocks {
-		if b.IsExit() {
-			continue
+	return boundWCET(prog, facts, func(in isa.Inst) int64 {
+		if in.IsMem() {
+			return per + int64(c.MemLatency)
 		}
-		var cost int64
-		for _, in := range b.Insts() {
-			cost += per
-			if in.IsMem() {
-				cost += int64(c.MemLatency)
-			}
-		}
-		costs[b.ID] = int(cost)
-	}
-	res, err := ipet.Solve(&ipet.Problem{G: g, Cost: costs, Extra: factsConstraints(facts)})
-	if err != nil {
-		return 0, err
-	}
-	return res.WCET, nil
+		return per
+	})
 }
 
 // SimulateBarre runs K threads sharing one FU under round-robin

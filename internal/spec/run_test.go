@@ -9,11 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"paratime/internal/cache"
 	"paratime/internal/core"
 	"paratime/internal/engine"
 	"paratime/internal/explore"
 	"paratime/internal/interfere"
 	"paratime/internal/isa"
+	"paratime/internal/memctrl"
 	"paratime/internal/partition"
 	"paratime/internal/workload"
 )
@@ -59,7 +61,11 @@ func TestRunJointMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.New(0).AnalyzeJoint(context.Background(), tasks, core.DefaultSystem(), interfere.AgeShift)
+	as, err := engine.New(0).PrepareAll(context.Background(), engine.Requests(tasks, core.DefaultSystem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := interfere.AnalyzeJoint(as, interfere.AgeShift)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +231,48 @@ func TestRunPartitionSim(t *testing.T) {
 		}
 		if simmed.Sim[i].Cycles <= 0 {
 			t.Errorf("task %d: empty simulation result", i)
+		}
+	}
+}
+
+// TestCoreBasedBeatsTaskBased: 4 tasks on 2 cores under the task-based
+// and core-based partition schemes. Core-based partitions are twice as
+// large, so no task's WCET may be worse (Suhendra & Mitra's finding (i)).
+func TestCoreBasedBeatsTaskBased(t *testing.T) {
+	var tasks []core.Task
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("t%d", i)
+		p := isa.MustAssemble(name, fmt.Sprintf(`
+        li   r1, 30
+        li   r3, %#x
+loop:   ld   r2, 0(r3)
+        add  r4, r4, r2
+        addi r1, r1, -1
+        bne  r1, r0, loop
+        halt
+.data %#x
+        .word 5`, 0x8000+i*0x1000, 0x8000+i*0x1000))
+		p.Rebase(uint32(0x1000 + i*0x1000))
+		tasks = append(tasks, core.Task{Name: name, Prog: p})
+	}
+	sys := core.DefaultSystem()
+	l2 := cache.Config{Name: "L2", Sets: 32, Ways: 4, LineBytes: 32, HitLatency: 4}
+	sys.Mem.L2 = &l2
+	run := func(p *PartitionSpec) *Report {
+		t.Helper()
+		sc := mustScenario(t, "partition-"+p.Scheme, tasks, ModeSpec{Kind: KindPartition, Partition: p}, nil)
+		sc.System = SystemToSpec(sys, memctrl.DefaultConfig())
+		rep, err := Run(context.Background(), sc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	taskW := run(&PartitionSpec{Scheme: PartTask})
+	coreW := run(&PartitionSpec{Scheme: PartCore, Cores: 2, Assign: []int{0, 0, 1, 1}})
+	for i := range tasks {
+		if coreW.Tasks[i].WCET > taskW.Tasks[i].WCET {
+			t.Errorf("task %d: core-based %d worse than task-based %d", i, coreW.Tasks[i].WCET, taskW.Tasks[i].WCET)
 		}
 	}
 }

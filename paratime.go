@@ -52,7 +52,6 @@ import (
 	"paratime/internal/core"
 	"paratime/internal/engine"
 	"paratime/internal/flow"
-	"paratime/internal/interfere"
 	"paratime/internal/isa"
 	"paratime/internal/memctrl"
 	"paratime/internal/pipeline"
@@ -271,25 +270,15 @@ type AnalysisRequest = engine.Request
 // analyses; workers <= 0 selects GOMAXPROCS.
 func NewEngine(workers int) *Engine { return engine.New(workers) }
 
-// defaultEngine backs the package-level batch entry points, so repeated
-// facade calls share one memo cache.
+// defaultEngine backs Run, so repeated facade calls share one memo
+// cache.
 var defaultEngine = sync.OnceValue(func() *Engine { return engine.New(0) })
 
-// DefaultEngine returns the shared engine behind AnalyzeAll and
-// AnalyzeJoint, for callers that want its memo statistics or to bound
-// memory with Reset between unrelated sweeps (the memo otherwise grows
-// with the number of distinct analyzed configurations).
+// DefaultEngine returns the shared engine behind Run, for callers that
+// want its memo statistics or to bound memory with Reset between
+// unrelated sweeps (the memo otherwise grows with the number of
+// distinct analyzed configurations).
 func DefaultEngine() *Engine { return defaultEngine() }
-
-// AnalyzeAll analyzes every task under one system configuration on the
-// shared default engine, returning analyses in task order.
-//
-// Deprecated: build a Scenario with Mode{Kind: ModeSolo} and call Run,
-// or use Engine.AnalyzeAll for context-aware batch analysis. Kept as a
-// thin wrapper for source compatibility.
-func AnalyzeAll(tasks []Task, sys SystemConfig) ([]*Analysis, error) {
-	return defaultEngine().AnalyzeAll(context.Background(), engine.Requests(tasks, sys))
-}
 
 // Arbiters.
 
@@ -305,31 +294,6 @@ func NewMultiBandwidthBus(weights []int, lat int) *arbiter.TDMA {
 	return arbiter.NewMultiBandwidth(weights, lat)
 }
 
-// TransactionLatency returns the bus occupancy covering one full memory
-// round trip for the given system (L2 lookup plus worst-case memory).
-//
-// Deprecated: a Scenario with Mode{Kind: ModeBus} derives this latency
-// itself when the bus spec leaves Latency zero. Kept as a thin wrapper
-// for source compatibility.
-func TransactionLatency(sys SystemConfig, mem MemConfig) int {
-	l := mem.Bound()
-	if sys.Mem.L2 != nil {
-		l += sys.Mem.L2.HitLatency
-	}
-	return l
-}
-
-// WithBusDelay returns a copy of the system configuration carrying the
-// arbitration bound as the per-transaction BusDelay.
-//
-// Deprecated: use NewSystem with WithArbitrationDelay, or a Scenario
-// with Mode{Kind: ModeBus}, which derives per-core bounds from the
-// arbiter. Kept as a thin wrapper for source compatibility.
-func WithBusDelay(sys SystemConfig, d int) SystemConfig {
-	sys.Mem.BusDelay = d
-	return sys
-}
-
 // Simulation.
 
 // BuildSim assembles a multicore simulation where every core runs one
@@ -340,29 +304,6 @@ func BuildSim(sys SystemConfig, mem MemConfig, bus Arbiter, sharedL2 bool, tasks
 
 // Simulate runs a simulation to completion.
 func Simulate(s SimSystem, maxCycles int64) (*SimResult, error) { return sim.Run(s, maxCycles) }
-
-// Joint shared-cache analysis (survey §4.1).
-
-// ConflictModel selects the shared-L2 interference semantics.
-type ConflictModel = interfere.ConflictModel
-
-// Conflict models.
-const (
-	// DirectMapped is Yan & Zhang's set-kill model.
-	DirectMapped = interfere.DirectMapped
-	// AgeShift is Li et al.'s distinct-foreign-line aging model.
-	AgeShift = interfere.AgeShift
-)
-
-// AnalyzeJoint computes solo and conflict-aware WCETs for co-scheduled
-// tasks sharing the system's L2. The per-task preparation runs on the
-// shared default engine's worker pool.
-//
-// Deprecated: build a Scenario with Mode{Kind: ModeJoint} and call Run.
-// Kept as a thin wrapper for source compatibility.
-func AnalyzeJoint(tasks []Task, sys SystemConfig, model ConflictModel) (*interfere.JointResult, error) {
-	return defaultEngine().AnalyzeJoint(context.Background(), tasks, sys, model)
-}
 
 // Workload.
 
