@@ -1,201 +1,46 @@
 // Command paralint runs paratime's repo-specific static-analysis suite
-// (internal/lint): mapiter, keycover, nondeterm and sortedout — the
-// mechanized determinism and fingerprint-coverage contracts.
+// (internal/lint): mapiter, keycover, nondeterm, sortedout and
+// deadexport — the mechanized determinism, fingerprint-coverage and
+// no-unused-code contracts.
 //
-// It runs in two modes:
-//
-//   - Standalone: `paralint [packages]` loads the named packages (default
-//     ./...) itself and prints diagnostics, exiting 1 if any. This mode
-//     runs all four analyzers, including the cross-file keycover check.
-//
-//   - Vet tool: `go vet -vettool=$(pwd)/paralint ./...` — paralint
-//     implements the cmd/go unitchecker protocol (-V=full, -flags, and
-//     single *.cfg package units), so it slots into go vet's build-cached
-//     per-package pipeline. Diagnostics exit 2, matching x/tools
-//     unitchecker.
+// Run it from the repository root as `go run ./cmd/paralint`. It takes
+// no arguments: it loads the whole module plus the nested perfbench
+// module as one program, because deadexport is only sound over every
+// caller. Diagnostics go to stderr sorted by position, and any
+// diagnostic makes it exit 1.
 //
 // Test files are never analyzed: the contracts govern result-producing
-// code, and test-output stability is pinned by goldens instead.
+// code, and test-output stability is pinned by goldens instead. For
+// deadexport, a call from a module test does not keep an export alive.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"paratime/internal/lint"
 )
 
 func main() {
-	args := os.Args[1:]
-	// cmd/go probes the tool identity for its build cache.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		fmt.Printf("paralint version 1\n")
-		return
+	if len(os.Args) > 1 {
+		fmt.Fprintln(os.Stderr, "usage: paralint (run from the repository root; takes no arguments)")
+		os.Exit(2)
 	}
-	// cmd/go asks which flags the tool supports; paralint needs none.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0]))
-	}
-	os.Exit(standalone(args))
-}
-
-func standalone(patterns []string) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := lint.Load("", patterns...)
+	pkgs, err := lint.LoadRepo(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		os.Exit(1)
 	}
 	diags, _, err := lint.Run(pkgs, lint.Suite(), nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		os.Exit(1)
 	}
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "paralint: %d violation(s)\n", len(diags))
-		return 1
+		os.Exit(1)
 	}
-	return 0
-}
-
-// unitConfig mirrors the JSON unit description cmd/go hands to vet
-// tools (x/tools unitchecker.Config).
-type unitConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func unitcheck(cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	var cfg unitConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "paralint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-	// Always satisfy the fact-file contract, even though paralint has no
-	// cross-package facts: cmd/go caches the output file.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("paralint\n"), 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// The contracts govern shipped code: skip test units entirely
-	// ("pkg.test", "pkg [pkg.test]", external _test packages).
-	if strings.HasSuffix(cfg.ImportPath, ".test") ||
-		strings.HasSuffix(cfg.ImportPath, "]") ||
-		strings.HasSuffix(cfg.ImportPath, "_test") {
-		return 0
-	}
-	pkg, err := typecheckUnit(&cfg)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	// keycover needs whole-module syntax on the spec side; in the
-	// per-package vet pipeline it still covers every unit whose own
-	// syntax declares a checked shape, which is all of them.
-	diags, _, err := lint.Run([]*lint.Package{pkg}, lint.Suite(), nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s\n", d.Pos, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-func typecheckUnit(cfg *unitConfig) (*lint.Package, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(cfg.Dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if to, ok := cfg.ImportMap[path]; ok {
-			path = to
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("paralint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	tc := types.Config{
-		Importer: importer.ForCompiler(fset, "gc", lookup),
-		Sizes:    types.SizesFor("gc", build.Default.GOARCH),
-	}
-	if cfg.GoVersion != "" {
-		tc.GoVersion = cfg.GoVersion
-	}
-	tpkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	return &lint.Package{
-		PkgPath: cfg.ImportPath,
-		Fset:    fset,
-		Files:   files,
-		Types:   tpkg,
-		Info:    info,
-	}, nil
 }

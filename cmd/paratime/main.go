@@ -33,12 +33,12 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"sort"
-	"strconv"
 	"strings"
 
 	"paratime"
@@ -120,7 +120,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		sims := make([]*paratime.SimResult, len(tasks))
-		err = engine.ForEach(ctx, 0, len(tasks), func(i int) error {
+		err = parallel.For(ctx, 0, len(tasks), func(i int) error {
 			s := paratime.BuildSim(sys, paratime.DefaultMemConfig(), nil, false, tasks[i])
 			res, err := paratime.Simulate(s, 1_000_000_000)
 			if err != nil {
@@ -183,24 +183,17 @@ func run(ctx context.Context, args []string) error {
 // runScenarios decodes scenario file(s) (or stdin with "-") and runs
 // every scenario in them through the Scenario API.
 func runScenarios(ctx context.Context, args []string) error {
-	asJSON := false
-flags:
-	for len(args) > 0 {
-		switch {
-		case args[0] == "-json":
-			asJSON = true
-			args = args[1:]
-		case args[0] == "-parallelism" && len(args) > 1:
-			n, err := strconv.Atoi(args[1])
-			if err != nil || n < 0 {
-				return fmt.Errorf("run: -parallelism wants a non-negative integer, got %q", args[1])
-			}
-			parallel.SetDefault(n)
-			args = args[2:]
-		default:
-			break flags
-		}
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	asJSON := fs.Bool("json", false, "print each report as canonical JSON instead of text")
+	parallelism := fs.Int("parallelism", 0, "explore-pricing workers per analysis (0: PARATIME_PARALLELISM or GOMAXPROCS; results are identical at any value)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	if *parallelism < 0 {
+		return fmt.Errorf("run: -parallelism wants a non-negative integer, got %d", *parallelism)
+	}
+	parallel.SetDefault(*parallelism)
+	args = fs.Args()
 	if len(args) < 1 {
 		return fmt.Errorf("run wants scenario file(s) (or '-' for stdin)")
 	}
@@ -229,7 +222,7 @@ flags:
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.String(), err)
 		}
-		if asJSON {
+		if *asJSON {
 			out, err := rep.Encode()
 			if err != nil {
 				return err
@@ -269,7 +262,7 @@ func runExperiments(ctx context.Context, args []string) error {
 	}
 	results := make([]*experiments.Result, len(ids))
 	errs := make([]error, len(ids))
-	runErr := engine.ForEach(ctx, 0, len(ids), func(i int) error {
+	runErr := parallel.For(ctx, 0, len(ids), func(i int) error {
 		res, err := runners[i]()
 		if err != nil {
 			errs[i] = err
@@ -311,20 +304,23 @@ func runExperiments(ctx context.Context, args []string) error {
 // (-update). The gate fails on loosened bounds, exact-worst drift, or a
 // soundness break (exact > bound).
 func runTightness(args []string) error {
-	update := false
-	if len(args) > 0 && args[0] == "-update" {
-		update = true
-		args = args[1:]
+	fs := flag.NewFlagSet("tightness", flag.ContinueOnError)
+	update := fs.Bool("update", false, "rewrite the baseline instead of checking against it")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 1 {
+		return fmt.Errorf("tightness wants at most one baseline file")
 	}
 	path := "TIGHTNESS.json"
-	if len(args) > 0 {
-		path = args[0]
+	if fs.NArg() == 1 {
+		path = fs.Arg(0)
 	}
 	current, err := experiments.TightnessAll()
 	if err != nil {
 		return err
 	}
-	if update {
+	if *update {
 		out, err := experiments.EncodeTightness(current)
 		if err != nil {
 			return err

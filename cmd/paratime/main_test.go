@@ -183,6 +183,22 @@ func TestSweepRejectsBadFile(t *testing.T) {
 	}
 }
 
+// TestRunBadFlags: malformed run and tightness flags are flag errors,
+// never mistaken for file names.
+func TestRunBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-json", "-parallelism"},
+		{"run", "-bogus", "x"},
+		{"run", "-parallelism", "-1", "testdata/quickstart.json"},
+		{"tightness", "-bogus"},
+	} {
+		err := run(context.Background(), args)
+		if err == nil || strings.Contains(err.Error(), "no such file") {
+			t.Errorf("%v: err = %v, want a flag error", args, err)
+		}
+	}
+}
+
 // TestExpUnknownID: the exp verb still rejects unknown ids up front.
 func TestExpUnknownID(t *testing.T) {
 	if err := run(context.Background(), []string{"exp", "e99"}); err == nil {

@@ -239,21 +239,6 @@ func (s *tdmaSession) Request(core int, at int64) int64 {
 	return g
 }
 
-// OwnerAt returns which core owns the bus at an absolute cycle (testing
-// and visualization helper).
-func (t *TDMA) OwnerAt(cycle int64) int {
-	phase := cycle % t.period
-	var start int64
-	for _, s := range t.slots {
-		end := start + int64(s.Len)
-		if phase < end {
-			return s.Owner
-		}
-		start = end
-	}
-	return -1
-}
-
 // --- multi-bandwidth (MBBA-style) ------------------------------------------
 
 // NewMultiBandwidth builds a weighted arbiter in the spirit of Bourgade

@@ -86,6 +86,20 @@ func TestRoundRobinSimulatedWaitWithinBound(t *testing.T) {
 	}
 }
 
+// OwnerAt returns which core owns the bus at an absolute cycle.
+func (t *TDMA) OwnerAt(cycle int64) int {
+	phase := cycle % t.period
+	var start int64
+	for _, s := range t.slots {
+		end := start + int64(s.Len)
+		if phase < end {
+			return s.Owner
+		}
+		start = end
+	}
+	return -1
+}
+
 func TestTDMAGrantsStayInOwnSlots(t *testing.T) {
 	a := NewTDMA([]Slot{{0, 6}, {1, 4}, {2, 8}}, 3)
 	for seed := int64(0); seed < 5; seed++ {

@@ -111,15 +111,6 @@ func (a *ACS) Age(l LineID) int {
 	return a.idx.cfg.Ways
 }
 
-// Join combines two states flowing into the same program point:
-// Must join keeps lines present in both at their maximum age;
-// May join keeps lines present in either at their minimum age.
-func (a *ACS) Join(b *ACS) *ACS {
-	out := a.Clone()
-	out.JoinInPlace(b)
-	return out
-}
-
 // JoinInPlace folds b into a. With absent == Ways and present ages
 // strictly below it, the Must join is an element-wise max (either side
 // absent ⇒ max is the sentinel ⇒ absent) and the May join an
@@ -237,29 +228,6 @@ func (a *ACS) AccessUnknown() {
 	}
 }
 
-// AgeAll ages every line in every set by n (used to model interference
-// from co-running tasks in shared-cache joint analysis: each conflicting
-// line another task may load pushes ours down by one).
-func (a *ACS) AgeAll(n int) {
-	if n <= 0 {
-		return
-	}
-	ab := a.absent()
-	for i, x := range a.age {
-		if x < ab {
-			a.age[i] = uint8(min(int(x)+n, int(ab)))
-		}
-	}
-}
-
-// AgeSet ages every line of one set by n.
-func (a *ACS) AgeSet(s, n int) {
-	if n <= 0 {
-		return
-	}
-	a.ageSetRange(s, n)
-}
-
 func (a *ACS) ageSetRange(s, n int) {
 	lo, hi := a.idx.setRange(s)
 	v := a.age[lo:hi]
@@ -268,17 +236,6 @@ func (a *ACS) ageSetRange(s, n int) {
 		if x < ab {
 			v[i] = uint8(min(int(x)+n, int(ab)))
 		}
-	}
-}
-
-// EvictSet removes every line of one set (direct-mapped conflict
-// modelling: a conflicting task may have replaced the set's content).
-func (a *ACS) EvictSet(s int) {
-	lo, hi := a.idx.setRange(s)
-	v := a.age[lo:hi]
-	ab := a.absent()
-	for i := range v {
-		v[i] = ab
 	}
 }
 

@@ -195,15 +195,6 @@ func AnalyzeWithCACPar(g *cfg.Graph, st *Stream, cacheCfg Config, cac map[RefID]
 	return AnalyzeWithCAC(g, st, cacheCfg, cac)
 }
 
-// MustAnalyze panics on configuration errors (test/fixture helper).
-func MustAnalyze(g *cfg.Graph, st *Stream, cacheCfg Config) *Result {
-	r, err := Analyze(g, st, cacheCfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // computePersistence counts, for every loop scope and cache set, the
 // distinct lines referenced within the scope (restricted to references
 // that may reach this level). A set whose conflict count fits the
@@ -376,9 +367,6 @@ func (res *Result) Clone(cac map[RefID]CAC) *Result {
 	}
 	return &c
 }
-
-// Stream returns the reference stream the result was computed over.
-func (res *Result) Stream() *Stream { return res.stream }
 
 // CACOf returns the reference's cache access classification for this
 // level (Always for single-level analyses).

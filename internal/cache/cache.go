@@ -51,9 +51,6 @@ func (c Config) LineOf(addr uint32) LineID { return LineID(addr / uint32(c.LineB
 // SetOf maps a line to its set index.
 func (c Config) SetOf(l LineID) int { return int(uint32(l) % uint32(c.Sets)) }
 
-// CapacityBytes returns the total capacity.
-func (c Config) CapacityBytes() int { return c.Sets * c.Ways * c.LineBytes }
-
 // LinesOf returns the distinct lines touched by a set of byte addresses,
 // in ascending order.
 func (c Config) LinesOf(addrs []uint32) []LineID {
@@ -79,28 +76,26 @@ func (c Config) RefLines(r Ref) ([]LineID, bool) {
 	}
 }
 
-// LRU is a concrete set-associative cache with true LRU replacement.
-// It supports line locking (locked lines are never evicted) and is the
-// reference model the abstract analyses are validated against.
+// LRU is a concrete set-associative cache with true LRU replacement,
+// and the reference model the abstract analyses are validated against.
 type LRU struct {
-	cfg    Config
-	sets   [][]LineID // each set: MRU first
-	locked map[LineID]bool
+	cfg  Config
+	sets [][]LineID // each set: MRU first
 
 	Hits, Misses uint64
 }
 
 // NewLRU returns an empty cache.
 func NewLRU(cfg Config) *LRU {
-	return &LRU{cfg: cfg, sets: make([][]LineID, cfg.Sets), locked: map[LineID]bool{}}
+	return &LRU{cfg: cfg, sets: make([][]LineID, cfg.Sets)}
 }
 
 // Config returns the cache geometry.
 func (c *LRU) Config() Config { return c.cfg }
 
 // Access touches the line containing addr and reports whether it hit.
-// On a miss the line is filled, evicting the least recently used unlocked
-// line if the set is full.
+// On a miss the line is filled, evicting the least recently used line if
+// the set is full.
 func (c *LRU) Access(addr uint32) bool {
 	return c.AccessLine(c.cfg.LineOf(addr))
 }
@@ -129,75 +124,7 @@ func (c *LRU) insert(s int, l LineID) {
 		c.sets[s] = append([]LineID{l}, set...)
 		return
 	}
-	// Evict the least recently used unlocked line.
-	victim := -1
-	for i := len(set) - 1; i >= 0; i-- {
-		if !c.locked[set[i]] {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		// Fully locked set: the access bypasses the cache.
-		return
-	}
-	out := make([]LineID, 0, len(set))
-	out = append(out, l)
-	for i, x := range set {
-		if i != victim {
-			out = append(out, x)
-		}
-	}
-	c.sets[s] = out
-}
-
-// Contains reports whether the line holding addr is cached.
-func (c *LRU) Contains(addr uint32) bool {
-	l := c.cfg.LineOf(addr)
-	for _, x := range c.sets[c.cfg.SetOf(l)] {
-		if x == l {
-			return true
-		}
-	}
-	return false
-}
-
-// Lock pins a line: it may still miss on first access but is never
-// evicted once resident. Locking an absent line also prefetches it.
-func (c *LRU) Lock(l LineID) {
-	c.locked[l] = true
-	s := c.cfg.SetOf(l)
-	for _, x := range c.sets[s] {
-		if x == l {
-			return
-		}
-	}
-	c.insert(s, l)
-}
-
-// Unlock releases a locked line (it stays resident until evicted).
-func (c *LRU) Unlock(l LineID) { delete(c.locked, l) }
-
-// Flush empties the cache, keeping locks (locked lines are refetched on
-// next access).
-func (c *LRU) Flush() {
-	for i := range c.sets {
-		c.sets[i] = nil
-	}
-}
-
-// Dump renders occupancy for debugging.
-func (c *LRU) Dump() string {
-	out := ""
-	for i, set := range c.sets {
-		if len(set) == 0 {
-			continue
-		}
-		out += fmt.Sprintf("set %d:", i)
-		for _, l := range set {
-			out += fmt.Sprintf(" %d", l)
-		}
-		out += "\n"
-	}
-	return out
+	// Evict the least recently used line.
+	copy(set[1:], set[:len(set)-1])
+	set[0] = l
 }

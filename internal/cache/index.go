@@ -79,9 +79,6 @@ func StreamIndex(cfg Config, sts ...*Stream) *Index {
 	return NewIndex(cfg, lines)
 }
 
-// Config returns the cache geometry the index interns for.
-func (ix *Index) Config() Config { return ix.cfg }
-
 // NumSlots returns the number of interned lines.
 func (ix *Index) NumSlots() int { return len(ix.lines) }
 

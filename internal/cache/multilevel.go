@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"paratime/internal/cfg"
-)
+import "paratime/internal/cfg"
 
 // CAC is the cache access classification of a reference with respect to
 // the next cache level (Hardy & Puaut, RTSS 2008): whether the reference
@@ -43,33 +39,6 @@ func CACFromL1(c Class) CAC {
 	}
 }
 
-// TwoLevelResult is the joint analysis of a private L1 feeding an L2.
-type TwoLevelResult struct {
-	L1  *Result
-	L2  *Result
-	CAC map[RefID]CAC // per reference: does it reach L2?
-}
-
-// AnalyzeTwoLevel analyzes a two-level non-inclusive hierarchy over one
-// reference stream: the L1 is analyzed first, then the L2 under the
-// induced cache access classification.
-func AnalyzeTwoLevel(g *cfg.Graph, st *Stream, l1, l2 Config) (*TwoLevelResult, error) {
-	r1, err := Analyze(g, st, l1)
-	if err != nil {
-		return nil, err
-	}
-	cac := map[RefID]CAC{}
-	//paralint:unordered per-key transform; each reference writes its own CAC entry
-	for id, rc := range r1.Classes {
-		cac[id] = CACFromL1(rc.Class)
-	}
-	r2, err := AnalyzeWithCAC(g, st, l2, cac)
-	if err != nil {
-		return nil, err
-	}
-	return &TwoLevelResult{L1: r1, L2: r2, CAC: cac}, nil
-}
-
 // AnalyzeWithCAC analyzes one cache level where each reference carries a
 // cache access classification: Never references do not touch the level,
 // Uncertain references update it with the join of accessing and not
@@ -102,13 +71,4 @@ func AnalyzeWithCAC(g *cfg.Graph, st *Stream, cacheCfg Config, cac map[RefID]CAC
 	res.computePersistence(g, ops)
 	res.classify(g, st)
 	return res, nil
-}
-
-// Summary renders classification counts for both levels.
-func (t *TwoLevelResult) Summary() string {
-	c1 := t.L1.CountClasses()
-	c2 := t.L2.CountClasses()
-	return fmt.Sprintf("L1[AH=%d AM=%d PS=%d NC=%d] L2[AH=%d AM=%d PS=%d NC=%d]",
-		c1[AlwaysHit], c1[AlwaysMiss], c1[Persistent], c1[NotClassified],
-		c2[AlwaysHit], c2[AlwaysMiss], c2[Persistent], c2[NotClassified])
 }

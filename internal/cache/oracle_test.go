@@ -142,12 +142,6 @@ func (a *oracleACS) accessUnknown() {
 	}
 }
 
-func (a *oracleACS) ageAll(n int) {
-	for s := range a.sets {
-		a.ageSet(s, n)
-	}
-}
-
 func (a *oracleACS) ageSet(s, n int) {
 	if n <= 0 {
 		return
@@ -160,10 +154,6 @@ func (a *oracleACS) ageSet(s, n int) {
 			m[x] = age + n
 		}
 	}
-}
-
-func (a *oracleACS) evictSet(s int) {
-	a.sets[s] = map[LineID]int{}
 }
 
 // agree fails the test unless the dense state matches the oracle exactly
@@ -209,7 +199,7 @@ func acsOpSeq(t *testing.T, rng *rand.Rand, geom Config, universe int, steps int
 		a2 := NewACS(idx, kind)
 		for step := 0; step < steps; step++ {
 			l := LineID(rng.Intn(universe))
-			switch op := rng.Intn(10); op {
+			switch op := rng.Intn(9); op {
 			case 0, 1, 2, 3:
 				o.access(l)
 				a.Access(l)
@@ -231,19 +221,10 @@ func acsOpSeq(t *testing.T, rng *rand.Rand, geom Config, universe int, steps int
 					a.AccessUnknown()
 				}
 			case 7:
-				n := rng.Intn(3)
-				o.ageAll(n)
-				a.AgeAll(n)
-			case 8:
 				s, n := rng.Intn(geom.Sets), rng.Intn(3)
 				o.ageSet(s, n)
-				a.AgeSet(s, n)
-				if rng.Intn(2) == 0 {
-					s = rng.Intn(geom.Sets)
-					o.evictSet(s)
-					a.EvictSet(s)
-				}
-			case 9:
+				a.ageSetRange(s, n)
+			case 8:
 				// Advance the second pair and join it in.
 				o2.access(l)
 				a2.Access(l)
@@ -324,7 +305,7 @@ func FuzzACSOracle(f *testing.F) {
 					a.AccessImprecise(lines)
 				case 4:
 					o.ageSet(int(data[i+1])%geom.Sets, 1)
-					a.AgeSet(int(data[i+1])%geom.Sets, 1)
+					a.ageSetRange(int(data[i+1])%geom.Sets, 1)
 				case 5:
 					o.accessUnknown()
 					a.AccessUnknown()

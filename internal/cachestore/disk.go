@@ -64,6 +64,8 @@ func NewDisk(dir string) (*Disk, error) {
 }
 
 // Dir returns the cache directory.
+//
+//paralint:testonly the CLI's serve tests check where -cache-dir roots the disk tier
 func (d *Disk) Dir() string { return d.dir }
 
 func (d *Disk) path(key string) string {

@@ -65,19 +65,13 @@ func NewMemorySizedAdmit(capacity int, maxBytes int64, admitFrac float64) *Memor
 }
 
 // Cap returns the entry bound (0 = unbounded).
+//
+//paralint:testonly the CLI's serve tests check the default result-cache bound
 func (m *Memory) Cap() int {
 	if m.cap <= 0 {
 		return 0
 	}
 	return m.cap
-}
-
-// MaxBytes returns the payload byte bound (0 = unbounded).
-func (m *Memory) MaxBytes() int64 {
-	if m.maxBytes <= 0 {
-		return 0
-	}
-	return m.maxBytes
 }
 
 // Get returns the value cached under key, marking it most recently used.

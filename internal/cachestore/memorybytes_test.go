@@ -28,9 +28,6 @@ func TestMemoryByteBoundFlood(t *testing.T) {
 	if st.PeakBytes == 0 || st.Evictions == 0 {
 		t.Fatalf("flood recorded no peak (%d) or evictions (%d)", st.PeakBytes, st.Evictions)
 	}
-	if m.MaxBytes() != maxBytes {
-		t.Fatalf("MaxBytes() = %d, want %d", m.MaxBytes(), maxBytes)
-	}
 }
 
 // TestMemoryByteBoundDeclinesOversized: one payload larger than the

@@ -101,12 +101,6 @@ func (b *Block) Insts() []isa.Inst { return b.graph.Prog.Insts[b.Start:b.End] }
 // start).
 func (b *Block) Addr(i int) uint32 { return b.graph.Prog.Addr(b.Start + i) }
 
-// Graph returns the graph owning the block.
-func (b *Block) Graph() *Graph { return b.graph }
-
-// Idom returns the immediate dominator (nil for the entry block).
-func (b *Block) Idom() *Block { return b.idom }
-
 // Loop returns the innermost loop containing the block, or nil.
 func (b *Block) Loop() *Loop { return b.loop }
 
@@ -178,33 +172,6 @@ func (g *Graph) RPO() []*Block {
 	return out
 }
 
-// LoopOf returns the loop headed by b, or nil.
-func (g *Graph) LoopOf(b *Block) *Loop {
-	for _, l := range g.Loops {
-		if l.Header == b {
-			return l
-		}
-	}
-	return nil
-}
-
-// InnermostLoops returns loops with no children.
-func (g *Graph) InnermostLoops() []*Loop {
-	child := map[*Loop]bool{}
-	for _, l := range g.Loops {
-		if l.Parent != nil {
-			child[l.Parent] = true
-		}
-	}
-	var out []*Loop
-	for _, l := range g.Loops {
-		if !child[l] {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // Dump renders the graph for debugging.
 func (g *Graph) Dump() string {
 	var sb strings.Builder
@@ -223,27 +190,5 @@ func (g *Graph) Dump() string {
 	for _, l := range g.Loops {
 		fmt.Fprintf(&sb, "%v\n", l)
 	}
-	return sb.String()
-}
-
-// Dot renders the graph in Graphviz DOT format.
-func (g *Graph) Dot() string {
-	var sb strings.Builder
-	sb.WriteString("digraph cfg {\n  node [shape=box fontname=monospace];\n")
-	for _, b := range g.Blocks {
-		label := b.String()
-		if !b.IsExit() {
-			var lines []string
-			for i, in := range b.Insts() {
-				lines = append(lines, fmt.Sprintf("0x%04x %v", b.Addr(i), in))
-			}
-			label += "\\n" + strings.Join(lines, "\\n")
-		}
-		fmt.Fprintf(&sb, "  b%d [label=\"%s\"];\n", b.ID, label)
-	}
-	for _, e := range g.Edges {
-		fmt.Fprintf(&sb, "  b%d -> b%d [label=\"%s\"];\n", e.From.ID, e.To.ID, e.Kind)
-	}
-	sb.WriteString("}\n")
 	return sb.String()
 }

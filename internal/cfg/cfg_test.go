@@ -103,8 +103,8 @@ join:   add  r3, r2, r2
 	if join == nil {
 		t.Fatalf("no join block found\n%s", g.Dump())
 	}
-	if join.Idom() != g.Entry {
-		t.Errorf("join idom = %v, want entry", join.Idom())
+	if join.idom != g.Entry {
+		t.Errorf("join idom = %v, want entry", join.idom)
 	}
 	for _, b := range g.Blocks {
 		if !g.Entry.Dominates(b) {
@@ -278,28 +278,10 @@ out:    halt`)
 	}
 }
 
-func TestDotAndDumpRender(t *testing.T) {
+func TestDumpRender(t *testing.T) {
 	g := build(t, "li r1, 2\nloop: addi r1, r1, -1\nbne r1, r0, loop\nhalt")
-	if dot := g.Dot(); !strings.Contains(dot, "digraph cfg") || !strings.Contains(dot, "->") {
-		t.Error("Dot output malformed")
-	}
 	if d := g.Dump(); !strings.Contains(d, "loop@") {
 		t.Errorf("Dump missing loop info:\n%s", d)
-	}
-}
-
-func TestInnermostLoops(t *testing.T) {
-	g := build(t, `
-        li   r1, 3
-outer:  li   r2, 4
-inner:  addi r2, r2, -1
-        bne  r2, r0, inner
-        addi r1, r1, -1
-        bne  r1, r0, outer
-        halt`)
-	inner := g.InnermostLoops()
-	if len(inner) != 1 || inner[0].Depth != 2 {
-		t.Errorf("innermost = %v, want the depth-2 loop", inner)
 	}
 }
 

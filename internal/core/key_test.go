@@ -21,7 +21,8 @@ func keyInputs(t *testing.T) (Task, SystemConfig, *cfg.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	facts := flow.NewFacts().Bound("loop", 16).Constrain(flow.Constraint{
+	facts := flow.NewFacts().Bound("loop", 16)
+	facts.Constraints = append(facts.Constraints, flow.Constraint{
 		Name:  "c",
 		Terms: []flow.Term{{Coef: 1, Edge: g.Edges[0]}, {Coef: 2, Block: g.Blocks[0]}, {Coef: 3}},
 		Rel:   flow.RelLE,

@@ -29,10 +29,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"paratime/internal/cachestore"
 	"paratime/internal/core"
+	"paratime/internal/parallel"
 )
 
 // Request is one unit of batch analysis.
@@ -109,10 +109,6 @@ func (e *Engine) ReuseRatio() float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// Memo returns the memo cache backend (for stats surfaces such as the
-// analysis service's /v1/stats).
-func (e *Engine) Memo() cachestore.CacheBackend { return e.memo }
-
 // Reset drops every memoized artefact (e.g. between unrelated sweeps, to
 // bound memory) on backends that support it; hit/miss counters are kept.
 func (e *Engine) Reset() {
@@ -166,60 +162,11 @@ func (e *Engine) prepare(task core.Task, sys core.SystemConfig) (*core.Analysis,
 	return c, nil
 }
 
-// ForEach runs f(0..n-1) across at most workers goroutines (<= 0 selects
-// GOMAXPROCS) and returns the error of the lowest index that failed, so
-// the reported failure does not depend on scheduling. After a failure no
-// further indices are dispatched (in-flight work completes); because
-// dispatch is in index order, every index below the first failure still
-// runs, keeping the returned error deterministic. Cancelling ctx also
-// stops dispatch: once every in-flight call returns, ForEach reports
-// ctx.Err() unless some dispatched index failed first (task errors win,
-// keeping the report deterministic). It is the generic fan-out primitive
-// under the batch entry points, exported for callers (the CLI's
-// experiment runner) whose work items are not analyses.
-func ForEach(ctx context.Context, workers, n int, f func(i int) error) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if n == 0 {
-		return ctx.Err()
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if errs[i] = f(i); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	for i := 0; i < n && !failed.Load() && ctx.Err() == nil; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
 // batch runs one analysis step per request across the pool, returning
 // results in request order.
 func (e *Engine) batch(ctx context.Context, reqs []Request, step func(Request) (*core.Analysis, error)) ([]*core.Analysis, error) {
 	out := make([]*core.Analysis, len(reqs))
-	err := ForEach(ctx, e.workers, len(reqs), func(i int) error {
+	err := parallel.For(ctx, e.workers, len(reqs), func(i int) error {
 		a, err := step(reqs[i])
 		if err != nil {
 			return err

@@ -17,6 +17,7 @@ import (
 	"paratime/internal/engine"
 	"paratime/internal/interfere"
 	"paratime/internal/memctrl"
+	"paratime/internal/parallel"
 	"paratime/internal/pipeline"
 	"paratime/internal/report"
 	"paratime/internal/sim"
@@ -430,7 +431,7 @@ func Exp12RoundRobin() (*Result, error) {
 		"cores", "bound", "sim max wait", "victim WCET", "victim sim", "victim exact", "tightness")
 	ns := []int{1, 2, 4, 8}
 	reps := make([]*spec.Report, len(ns))
-	err := engine.ForEach(context.Background(), 0, len(ns), func(i int) error {
+	err := parallel.For(context.Background(), 0, len(ns), func(i int) error {
 		sc, err := scenarioE12(ns[i])
 		if err != nil {
 			return err

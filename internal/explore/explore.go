@@ -263,6 +263,8 @@ func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
 
 // Replay reruns one witnessed start state and returns the simulation
 // result; the witnessed core's cycles equal Witness.Cycles exactly.
+//
+//paralint:testonly reference oracle: explore and spec tests replay witnesses against it
 func Replay(sys sim.System, init InitState, maxCycles int64) (*sim.Result, error) {
 	if maxCycles == 0 {
 		maxCycles = DefaultMaxCycles

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 
 	"paratime/internal/parallel"
@@ -108,7 +109,10 @@ scan:
 	// own core slice, and sim.Run builds every stateful device (caches,
 	// memory controller, bus session) per call, so concurrent runs share
 	// only read-only inputs: programs, geometries and the bus policy.
-	parallel.For(workers, len(jobs), func(k int) {
+	// The closure records a simulation failure in its job and returns nil,
+	// so every state is still priced and phase 3 reports failures in
+	// enumeration order.
+	_ = parallel.For(context.Background(), workers, len(jobs), func(k int) error {
 		j := jobs[k]
 		run := sys
 		run.Cores = make([]sim.CoreConfig, n)
@@ -120,12 +124,13 @@ scan:
 		simRes, err := sim.Run(run, b.MaxCycles)
 		if err != nil {
 			j.err = err
-			return
+			return nil
 		}
 		j.cycles = make([]int64, n)
 		for c := 0; c < n; c++ {
 			j.cycles[c] = simRes.Cycles(c)
 		}
+		return nil
 	})
 
 	// Phase 3: sequential reduce in enumeration order.

@@ -56,12 +56,6 @@ func (f *Facts) Bound(label string, n int) *Facts {
 	return f
 }
 
-// Constrain appends an extra linear constraint.
-func (f *Facts) Constrain(c Constraint) *Facts {
-	f.Constraints = append(f.Constraints, c)
-	return f
-}
-
 // Bounds returns a copy of the annotated loop bounds by header label (nil
 // when there are none). Serialization formats use it to externalize an
 // annotation set; graph-bound Constraints are not covered.

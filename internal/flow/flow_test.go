@@ -472,7 +472,7 @@ func TestFingerprintLabelsInjective(t *testing.T) {
 	named := func(names ...string) *Facts {
 		f := NewFacts()
 		for _, n := range names {
-			f.Constrain(Constraint{Name: n, Terms: []Term{{Coef: 1}}, Rel: RelLE, RHS: 1})
+			f.Constraints = append(f.Constraints, Constraint{Name: n, Terms: []Term{{Coef: 1}}, Rel: RelLE, RHS: 1})
 		}
 		return f
 	}

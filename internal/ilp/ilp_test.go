@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -372,12 +373,14 @@ func TestConcurrentSolvesMatchSequential(t *testing.T) {
 	var reuse Reuse
 	got := make([]*Solution, len(want))
 	errs := make([]error, len(want))
-	parallel.For(4, len(want), func(i int) {
+	// Errors land in errs so every solve runs; the closure never fails.
+	_ = parallel.For(context.Background(), 4, len(want), func(i int) error {
 		if i < len(models) {
 			got[i], errs[i] = models[i].Solve()
-			return
+			return nil
 		}
 		got[i], errs[i] = shared[i-len(models)].SolveWithReuse(&reuse, []int64{1})
+		return nil
 	})
 	for i := range want {
 		if errs[i] != nil {

@@ -83,26 +83,8 @@ func (l *Lin) addRat(v Var, c rat64) *Lin {
 	return l
 }
 
-// Add accumulates coef·v into the expression and returns it for chaining.
-// The coefficient must fit an int64 rational.
-func (l *Lin) Add(v Var, coef *big.Rat) *Lin {
-	c, ok := rat64FromBig(coef)
-	if !ok {
-		panic(fmt.Sprintf("ilp: coefficient %s does not fit int64", coef.RatString()))
-	}
-	return l.addRat(v, c)
-}
-
 // AddInt accumulates an integer coefficient.
 func (l *Lin) AddInt(v Var, coef int64) *Lin { return l.addRat(v, rat64{coef, 1}) }
-
-// Coef returns the coefficient of v, or nil if absent.
-func (l *Lin) Coef(v Var) *big.Rat {
-	if i, ok := slices.BinarySearch(l.vars, v); ok {
-		return l.coef[i].Rat()
-	}
-	return nil
-}
 
 // Clone returns a deep copy.
 func (l *Lin) Clone() *Lin {
@@ -168,30 +150,6 @@ func (m *Model) AddIntVar(name string) Var {
 	return v
 }
 
-// SetBounds sets the variable bounds; upper may be nil for +inf. The
-// lower bound must be finite.
-func (m *Model) SetBounds(v Var, lower, upper *big.Rat) {
-	lo := r64Zero
-	if lower != nil {
-		var ok bool
-		if lo, ok = rat64FromBig(lower); !ok {
-			panic(fmt.Sprintf("ilp: lower bound %s does not fit int64", lower.RatString()))
-		}
-	}
-	m.lower[v] = lo
-	if upper == nil {
-		m.upper[v] = r64Zero
-		m.upinf[v] = true
-		return
-	}
-	up, ok := rat64FromBig(upper)
-	if !ok {
-		panic(fmt.Sprintf("ilp: upper bound %s does not fit int64", upper.RatString()))
-	}
-	m.upper[v] = up
-	m.upinf[v] = false
-}
-
 // Name returns the variable's name ("v%d" when none was given).
 func (m *Model) Name(v Var) string {
 	if m.names[v] != "" {
@@ -200,39 +158,14 @@ func (m *Model) Name(v Var) string {
 	return fmt.Sprintf("v%d", int(v))
 }
 
-// AddConstraint appends a constraint. The terms are copied.
-func (m *Model) AddConstraint(name string, terms *Lin, sense Sense, rhs *big.Rat) {
-	r, ok := rat64FromBig(rhs)
-	if !ok {
-		panic(fmt.Sprintf("ilp: rhs %s does not fit int64", rhs.RatString()))
-	}
-	m.cons = append(m.cons, constraint{name: name, terms: terms.Clone(), sense: sense, rhs: r})
-}
-
-// AddConstraintInt is AddConstraint with an integer right-hand side.
+// AddConstraintInt appends a constraint with an integer right-hand side.
+// The terms are copied.
 func (m *Model) AddConstraintInt(name string, terms *Lin, sense Sense, rhs int64) {
 	m.cons = append(m.cons, constraint{name: name, terms: terms.Clone(), sense: sense, rhs: rat64{rhs, 1}})
 }
 
 // SetObjective replaces the (maximized) objective.
 func (m *Model) SetObjective(terms *Lin) { m.objective = terms.Clone() }
-
-// Clone returns a deep copy of the model.
-func (m *Model) Clone() *Model {
-	c := &Model{
-		names:     slices.Clone(m.names),
-		integer:   slices.Clone(m.integer),
-		lower:     slices.Clone(m.lower),
-		upper:     slices.Clone(m.upper),
-		upinf:     slices.Clone(m.upinf),
-		objective: m.objective.Clone(),
-		cons:      make([]constraint, len(m.cons)),
-	}
-	for i, con := range m.cons {
-		c.cons[i] = constraint{name: con.name, terms: con.terms.Clone(), sense: con.sense, rhs: con.rhs}
-	}
-	return c
-}
 
 // Fork returns a shallow extension point for the model: the receiver's
 // variables and constraints are shared (copy-on-append — every slice is
@@ -327,20 +260,4 @@ type Solution struct {
 	// FellBack reports that int64 arithmetic overflowed and the solution
 	// was produced by the exact big.Rat oracle instead.
 	FellBack bool
-}
-
-// ValueFloat returns the objective as a float64 for reporting.
-func (s *Solution) ValueFloat() float64 {
-	f, _ := s.Value.Float64()
-	return f
-}
-
-// IntValue returns variable v rounded to the nearest integer; it panics if
-// the value is not integral (callers use it only for integer variables of
-// an Optimal solution).
-func (s *Solution) IntValue(v Var) int64 {
-	if !s.X[v].IsInt() {
-		panic(fmt.Sprintf("variable %d is not integral: %s", v, s.X[v].RatString()))
-	}
-	return s.X[v].Num().Int64()
 }

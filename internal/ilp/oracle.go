@@ -334,16 +334,6 @@ func (tb *rtab) evictArtificials(firstArt int) {
 	}
 }
 
-// oracleSolveLP solves the LP relaxation with exact big.Rat arithmetic.
-func (m *Model) oracleSolveLP() (*Solution, error) {
-	pivots := 0
-	sol, err := m.oracleRoot(&pivots).solveLP()
-	if sol != nil {
-		sol.Pivots = pivots
-	}
-	return sol, err
-}
-
 // oracleSolve maximizes the objective with exact big.Rat arithmetic,
 // enforcing integrality by depth-first branch and bound.
 func (m *Model) oracleSolve() (*Solution, error) {

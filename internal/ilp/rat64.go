@@ -236,11 +236,3 @@ func (r rat64) mul(o rat64) (rat64, bool) {
 
 // Rat returns the value as a big.Rat (always exact).
 func (r rat64) Rat() *big.Rat { return big.NewRat(r.n, r.d) }
-
-// rat64FromBig converts a big.Rat, reporting whether it fits.
-func rat64FromBig(x *big.Rat) (rat64, bool) {
-	if !x.Num().IsInt64() || !x.Denom().IsInt64() {
-		return rat64{}, false
-	}
-	return mkRat64(x.Num().Int64(), x.Denom().Int64())
-}

@@ -7,30 +7,6 @@ import "errors"
 // nodes; the bound catches runaway models.
 const maxNodes = 100_000
 
-// SolveLP solves the LP relaxation only: on the sparse int64 fast path
-// when the arithmetic fits, falling back to the exact big.Rat oracle on
-// overflow.
-func (m *Model) SolveLP() (*Solution, error) {
-	w := getWork()
-	defer workPool.Put(w)
-	res, err := m.fastLP(m.lower, m.upper, m.upinf, nil, nil, w)
-	switch {
-	case err == nil:
-		if res.status != Optimal {
-			return &Solution{Status: res.status, Nodes: 1, Pivots: w.pivots}, nil
-		}
-		return res.solution(1, w.pivots), nil
-	case errors.Is(err, errOverflow):
-		sol, oerr := m.oracleSolveLP()
-		if sol != nil {
-			sol.FellBack = true
-		}
-		return sol, oerr
-	default:
-		return nil, err
-	}
-}
-
 // Solve maximizes the objective subject to the constraints, enforcing
 // integrality of integer variables by depth-first branch and bound with
 // best-bound pruning. The fast int64 path and the big.Rat fallback use

@@ -184,11 +184,10 @@ func NewSkeleton(g *cfg.Graph, extra []flow.Constraint) (*Skeleton, error) {
 	return s, nil
 }
 
-// Graph returns the CFG the skeleton was compiled from.
-func (s *Skeleton) Graph() *cfg.Graph { return s.g }
-
 // ReuseStats reports warm-start cache hits and misses of the skeleton's
-// simplex snapshot (for tests and tuning).
+// simplex snapshot.
+//
+//paralint:testonly ipet and engine tests check that warm starts are taken
 func (s *Skeleton) ReuseStats() (hits, misses uint64) { return s.reuse.Stats() }
 
 // Solve prices the skeleton under the given block costs and event

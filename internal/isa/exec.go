@@ -198,6 +198,8 @@ func (s *State) Step() error {
 // Run steps until HALT or until maxSteps instructions have retired.
 // It returns the number of retired instructions and an error if the
 // program faulted or the fuel ran out (likely divergence).
+//
+//paralint:testonly reference interpreter: flow and cache tests check analyses against concrete runs
 func (s *State) Run(maxSteps uint64) (uint64, error) {
 	start := s.Retired
 	for !s.Halted {

@@ -51,7 +51,7 @@ func TestInstPredicates(t *testing.T) {
 }
 
 func TestProgramAddrIndexRoundTrip(t *testing.T) {
-	p := NewBuilder("t").Nop().Nop().Halt().MustDone()
+	p := NewBuilder("t").Emit(Inst{Op: NOP}).Emit(Inst{Op: NOP}).Halt().MustDone()
 	for i := range p.Insts {
 		if got := p.Index(p.Addr(i)); got != i {
 			t.Errorf("Index(Addr(%d)) = %d", i, got)
@@ -90,7 +90,7 @@ func TestBuilderForwardLabels(t *testing.T) {
 		Label("loop").OpI(ADDI, R1, R1, -1).
 		Br(BNE, R1, R0, "loop").
 		Jmp("end").
-		Nop().
+		Emit(Inst{Op: NOP}).
 		Label("end").Halt().
 		Done()
 	if err != nil {

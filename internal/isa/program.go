@@ -304,9 +304,6 @@ func (b *Builder) emitTo(in Inst, label string) *Builder {
 // Convenience emitters. Branch-style emitters take a label that may be
 // defined later; Done resolves them.
 
-// Nop appends a NOP.
-func (b *Builder) Nop() *Builder { return b.Emit(Inst{Op: NOP}) }
-
 // Halt appends a HALT.
 func (b *Builder) Halt() *Builder { return b.Emit(Inst{Op: HALT}) }
 
@@ -352,9 +349,6 @@ func (b *Builder) Jmp(label string) *Builder { return b.emitTo(Inst{Op: J}, labe
 
 // Call appends a CALL to a label.
 func (b *Builder) Call(label string) *Builder { return b.emitTo(Inst{Op: CALL}, label) }
-
-// Ret appends a RET.
-func (b *Builder) Ret() *Builder { return b.Emit(Inst{Op: RET}) }
 
 // DataWords places a labelled array of words in the data segment and
 // returns its address.
@@ -408,8 +402,10 @@ func (b *Builder) Done() (*Program, error) {
 	return b.prog, nil
 }
 
-// MustDone is Done, panicking on error. Intended for static test fixtures
-// and the built-in workload suite, where an error is a programming bug.
+// MustDone is Done, panicking on error, for static fixtures where an
+// error is a programming bug.
+//
+//paralint:testonly fixture builder for isa and smt tests
 func (b *Builder) MustDone() *Program {
 	p, err := b.Done()
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 const (
 	DirUnordered = "unordered" // map-range loop is an order-insensitive fold
 	DirCanonical = "canonical" // function is an audited canonical-encoder site
+	DirTestOnly  = "testonly"  // exported function exists for other packages' tests
 )
 
 // directiveLines scans a file's comments for //paralint:<name> markers

@@ -1,8 +1,8 @@
 // Package lint is paratime's repo-specific static-analysis suite: it
-// mechanizes the determinism and fingerprint-coverage contracts that
-// every PR otherwise has to re-prove by hand.
+// mechanizes the determinism, fingerprint-coverage and no-unused-code
+// contracts that every PR otherwise has to re-prove by hand.
 //
-// The repo's three standing obligations are:
+// The repo's four standing obligations are:
 //
 //  1. Output is byte-identical at any worker count — so no map-iteration
 //     order, wall-clock reading, or environment lookup may influence a
@@ -14,6 +14,12 @@
 //  3. Everything written to NDJSON/report/golden output flows through an
 //     audited canonical encoder or a deterministic iteration (analyzer
 //     sortedout).
+//  4. Every exported function or method under internal/ has a caller
+//     outside tests (analyzer deadexport).
+//
+// The suite runs as one whole-program pass: LoadRepo loads the module
+// for analysis and the nested perfbench module, test files included, as
+// reference-only packages, and every Pass sees the whole load set.
 //
 // The suite is built directly on go/ast and go/types (the module is
 // dependency-free, so golang.org/x/tools is deliberately not used); the
@@ -26,6 +32,9 @@
 //     above) marks an order-insensitive fold (max, sum, set-build).
 //   - `//paralint:canonical <why>` on a function declares it an audited
 //     canonical-encoder site, allowed to call encoding/json marshalers.
+//   - `//paralint:testonly <why>` on an exported function declares it a
+//     cross-package test helper or reference oracle that deadexport
+//     accepts without a non-test caller.
 //   - struct tag `paralint:"execonly"` marks a SystemConfig field as an
 //     execution knob that must NOT reach fingerprints.
 //   - struct tag `paralint:"fingerprint"` marks a SystemConfig field
@@ -58,7 +67,10 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Config   *Config
+	// All is the whole load set, reference-only packages included, for
+	// analyzers whose verdict on Pkg depends on the rest of the program.
+	All    []*Package
+	Config *Config
 
 	diags *[]Diagnostic
 }
@@ -86,21 +98,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // TypeOf returns the type of e, or nil.
 func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Pkg.Info.TypeOf(e) }
 
-// ObjectOf resolves an identifier to its object, or nil.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
-	if o := p.Pkg.Info.ObjectOf(id); o != nil {
-		return o
-	}
-	return nil
-}
-
-// Suite returns the four paralint analyzers in reporting order.
+// Suite returns the five paralint analyzers in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{MapIter, KeyCover, NonDeterm, SortedOut}
+	return []*Analyzer{MapIter, KeyCover, NonDeterm, SortedOut, DeadExport}
 }
 
-// Run applies each analyzer to each package and returns the combined
-// diagnostics sorted by position, plus per-(package, analyzer) results.
+// Run applies each analyzer to each package that is not reference-only
+// and returns the combined diagnostics sorted by position, plus
+// per-(package, analyzer) results. Every pass sees pkgs as its load set.
 func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, map[ResultKey]any, error) {
 	if cfg == nil {
 		cfg = DefaultConfig()
@@ -108,8 +113,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) ([]Diagnostic, map
 	var diags []Diagnostic
 	results := make(map[ResultKey]any)
 	for _, pkg := range pkgs {
+		if pkg.RefOnly {
+			continue
+		}
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Config: cfg, diags: &diags}
+			pass := &Pass{Analyzer: a, Pkg: pkg, All: pkgs, Config: cfg, diags: &diags}
 			res, err := a.Run(pass)
 			if err != nil {
 				return nil, nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)

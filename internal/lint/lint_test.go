@@ -71,13 +71,14 @@ func collectWants(t *testing.T, pkgs []*Package) map[string][]*expectation {
 	return wants
 }
 
-// checkFixture runs one analyzer over one fixture package and verifies
-// the diagnostics match the `// want` comments exactly.
-func checkFixture(t *testing.T, a *Analyzer, fixture string, cfg *Config) {
+// checkFixture runs one analyzer over one fixture package, with refs as
+// reference-only packages of the load set, and verifies the diagnostics
+// match the `// want` comments exactly.
+func checkFixture(t *testing.T, a *Analyzer, fixture string, cfg *Config, refs ...*Package) {
 	t.Helper()
 	pkgs := loadFixture(t, fixture)
 	wants := collectWants(t, pkgs)
-	diags, _, err := Run(pkgs, []*Analyzer{a}, cfg)
+	diags, _, err := Run(append(pkgs, refs...), []*Analyzer{a}, cfg)
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, fixture, err)
 	}
@@ -153,6 +154,16 @@ func TestKeyCoverSpecFixture(t *testing.T) {
 	checkFixture(t, KeyCover, "keycoverspec", nil)
 }
 
+// TestDeadExportFixture loads a second root reference-only, test files
+// included, standing in for perfbench: its calls keep exports alive.
+func TestDeadExportFixture(t *testing.T) {
+	refs, err := LoadRefs("../..", fixturePath("deadexportbench"))
+	if err != nil {
+		t.Fatalf("loading second root: %v", err)
+	}
+	checkFixture(t, DeadExport, "deadexporttest", nil, refs...)
+}
+
 // TestKeyCoverInventory pins the prepare-side fixture's inventory shape:
 // every field lands in exactly one bucket.
 func TestKeyCoverInventory(t *testing.T) {
@@ -194,10 +205,11 @@ func TestKeyCoverInventory(t *testing.T) {
 	}
 }
 
-// repoPackages loads the whole repository once for the repo-level tests.
+// repoPackages loads the whole repository, perfbench included, for the
+// repo-level tests.
 func repoPackages(t *testing.T) []*Package {
 	t.Helper()
-	pkgs, err := Load("../..", "./...")
+	pkgs, err := LoadRepo("../..")
 	if err != nil {
 		t.Fatalf("loading repo: %v", err)
 	}
@@ -277,7 +289,7 @@ func TestSuiteOrder(t *testing.T) {
 	for _, a := range Suite() {
 		names = append(names, a.Name)
 	}
-	if got, want := strings.Join(names, " "), "mapiter keycover nondeterm sortedout"; got != want {
+	if got, want := strings.Join(names, " "), "mapiter keycover nondeterm sortedout deadexport"; got != want {
 		t.Errorf("Suite() order = %q, want %q", got, want)
 	}
 }

@@ -24,6 +24,9 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+	// RefOnly marks a package loaded only for its references (see
+	// LoadRefs): no analyzer inspects it.
+	RefOnly bool
 }
 
 // listPackage mirrors the subset of `go list -json` output the loader
@@ -34,6 +37,7 @@ type listPackage struct {
 	Export     string
 	Standard   bool
 	DepOnly    bool
+	ForTest    string
 	GoFiles    []string
 	ImportMap  map[string]string
 	Module     *struct {
@@ -45,22 +49,53 @@ type listPackage struct {
 	}
 }
 
+// LoadRepo loads the module rooted at root (./...) for analysis, and
+// the nested perfbench module at root/perfbench, test files included,
+// for references. perfbench is a separate module that `go list ./...`
+// skips, but it calls internal packages directly, so deadexport is only
+// sound over both.
+func LoadRepo(root string) ([]*Package, error) {
+	pkgs, err := Load(root, "./...")
+	if err != nil {
+		return nil, err
+	}
+	refs, err := LoadRefs(filepath.Join(root, "perfbench"), "./...")
+	if err != nil {
+		return nil, err
+	}
+	return append(pkgs, refs...), nil
+}
+
 // Load type-checks the packages matched by patterns (resolved relative
 // to dir, "" meaning the current directory) and returns them with full
-// syntax and type information. Dependencies — including the standard
-// library — are consumed from compiler export data produced by
-// `go list -export`, so loading works offline and never re-typechecks
-// the world from source. Packages under a testdata directory are
-// skipped unless the pattern names them explicitly.
+// syntax and type information. Test files are not loaded. Dependencies —
+// including the standard library — are consumed from compiler export
+// data produced by `go list -export`, so loading works offline and never
+// re-typechecks the world from source. Packages under a testdata
+// directory are skipped unless the pattern names them explicitly.
 func Load(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, false, patterns)
+}
+
+// LoadRefs is Load with each package's in-package test files, returning
+// reference-only packages: no analyzer inspects them, but what they call
+// counts as a caller for deadexport.
+func LoadRefs(dir string, patterns ...string) ([]*Package, error) {
+	return load(dir, true, patterns)
+}
+
+func load(dir string, tests bool, patterns []string) ([]*Package, error) {
 	explicitTestdata := false
 	for _, p := range patterns {
 		if strings.Contains(p, "testdata") {
 			explicitTestdata = true
 		}
 	}
-	args := append([]string{"list", "-export", "-deps", "-json=ImportPath,Dir,Export,Standard,DepOnly,GoFiles,ImportMap,Module,Error"}, patterns...)
-	cmd := exec.Command("go", args...)
+	args := []string{"list", "-export", "-deps", "-json=ImportPath,Dir,Export,Standard,DepOnly,ForTest,GoFiles,ImportMap,Module,Error"}
+	if tests {
+		args = append(args, "-test")
+	}
+	cmd := exec.Command("go", append(args, patterns...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -90,7 +125,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		for from, to := range lp.ImportMap {
 			importMap[from] = to
 		}
-		if lp.DepOnly || lp.Standard {
+		if lp.DepOnly || lp.Standard || strings.HasSuffix(lp.ImportPath, ".test") {
 			continue
 		}
 		if !explicitTestdata && underTestdata(lp.ImportPath) {
@@ -100,6 +135,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("lint: no packages matched %v", patterns)
+	}
+	if tests {
+		targets = withTestVariants(targets)
 	}
 
 	fset := token.NewFileSet()
@@ -121,9 +159,30 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		pkg.RefOnly = tests
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// withTestVariants replaces each package that has an in-package test
+// variant ("p [p.test]", whose GoFiles are p's files plus its _test.go
+// files) by that variant.
+func withTestVariants(targets []*listPackage) []*listPackage {
+	tested := map[string]bool{}
+	for _, lp := range targets {
+		if lp.ForTest != "" {
+			tested[lp.ForTest] = true
+		}
+	}
+	var out []*listPackage
+	for _, lp := range targets {
+		if lp.ForTest == "" && tested[lp.ImportPath] {
+			continue
+		}
+		out = append(out, lp)
+	}
+	return out
 }
 
 func underTestdata(importPath string) bool {

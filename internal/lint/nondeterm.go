@@ -12,7 +12,7 @@ import (
 // explicitly seeded rand.New(rand.NewSource(k)) generators are
 // deterministic and stay legal), and bare go statements outside
 // internal/parallel (concurrency must flow through the audited
-// fork/join primitives or a listed site). Sanctioned sites live in
+// fork/join primitive or a listed site). Sanctioned sites live in
 // allow_nondeterm.txt as "<pkgpath> <func> <callee>" entries.
 var NonDeterm = &Analyzer{
 	Name: "nondeterm",
@@ -55,7 +55,7 @@ func runNonDeterm(pass *Pass) (any, error) {
 					return true
 				}
 				pass.flagNondeterm(file, n.Pos(), "go",
-					"bare go statement outside internal/parallel: route concurrency through parallel.For/ForErr or allowlist this site")
+					"bare go statement outside internal/parallel: route concurrency through parallel.For or allowlist this site")
 			case *ast.CallExpr:
 				cp, name, ok := calleePkgFunc(pass.Pkg.Info, n)
 				if !ok {

@@ -47,15 +47,6 @@ func (c Config) Bound() int {
 	return c.Precharge + c.Activate + c.CAS
 }
 
-// BestCase returns the minimum access latency (open-row hit under open
-// page; fixed cost under closed page).
-func (c Config) BestCase() int {
-	if c.ClosedPage {
-		return c.Activate + c.CAS
-	}
-	return c.CAS
-}
-
 // Controller is the cycle-level device. The simulator calls Access with
 // monotonically non-decreasing start times (after bus arbitration).
 type Controller struct {
@@ -77,9 +68,6 @@ func New(cfg Config) *Controller {
 	}
 	return c
 }
-
-// Config returns the device parameterization.
-func (c *Controller) Config() Config { return c.cfg }
 
 // bankOf maps an address to its bank (low line-ish bits for spread).
 func (c *Controller) bankOf(addr uint32) int {

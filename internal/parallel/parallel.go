@@ -1,13 +1,15 @@
-// Package parallel provides bounded fork/join primitives: deterministic
-// ordered fan-out of independent index-addressed work items across a
-// capped number of goroutines, and the process-wide worker-count knob
-// the CLI and the analysis service wire their -parallelism flags into.
+// Package parallel provides the one bounded fork/join primitive, For: a
+// deterministic, cancellable, ordered fan-out of independent
+// index-addressed work items across a capped number of goroutines. It
+// also holds the process-wide worker-count knob the CLI and the analysis
+// service wire their -parallelism flags into.
 //
 // Within one analysis the only parallel step is explore pricing
 // (explore.ExplorePar): the cache and pipeline fixpoints run
 // sequentially, because their parallel schedules never beat the
-// sequential worklists. Across analyses, sweep workers and the batch
-// engine fan out whole analyses.
+// sequential worklists. Across analyses, the batch engine, the CLI's
+// experiment runner and scenario execution fan out with For, and sweep
+// workers run their own pump.
 //
 // The determinism contract: work items are independent (each index
 // writes only its own slot of a result vector, and shares only
@@ -18,6 +20,7 @@
 package parallel
 
 import (
+	"context"
 	"os"
 	"runtime"
 	"strconv"
@@ -68,72 +71,57 @@ func Resolve(n int) int {
 	return Default()
 }
 
-// For runs f(i) for every i in [0, n) across at most workers
-// goroutines and returns when all calls have finished (fork/join with
-// an implicit barrier). Indices are handed out in ascending order.
+// For runs f(i) for every i in [0, n) across at most workers goroutines
+// (workers <= 0 selects GOMAXPROCS; 1 runs inline without spawning) and
+// returns once every dispatched call has finished. Indices are claimed in
+// ascending order. After a call fails, or once ctx is cancelled, no
+// further index is claimed; in-flight calls complete. For returns the
+// error of the lowest failing index, else ctx.Err(): every index below
+// the first failure was claimed before it and so ran, which keeps the
+// reported error independent of scheduling.
+//
 // Calls must be independent: each index may only write state owned by
-// that index, which is what makes the fan-out deterministic — the
-// result vector is identical to the sequential loop regardless of
-// schedule. workers <= 1 (or n <= 1) runs inline without spawning.
-func For(workers, n int, f func(i int)) {
-	if n <= 0 {
-		return
+// that index, which is what makes the fan-out deterministic — the result
+// vector is identical to the sequential loop regardless of schedule.
+func For(ctx context.Context, workers, n int, f func(i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			if err := f(i); err != nil {
+				return err
+			}
 		}
-		return
+		return ctx.Err()
 	}
+	errs := make([]error, n)
 	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() && ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				f(i)
+				if errs[i] = f(i); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// ForErr is For over fallible work: it runs f(i) for every i in [0, n)
-// across at most workers goroutines and returns the error of the
-// lowest index that failed, so the reported failure does not depend on
-// scheduling. Unlike engine.ForEach it keeps dispatching after a
-// failure (items are cheap and independent; total work is bounded by
-// n), which keeps the "which indices ran" set schedule-independent.
-func ForErr(workers, n int, f func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := f(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, n)
-	For(workers, n, func(i int) { errs[i] = f(i) })
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	return nil
+	return ctx.Err()
 }

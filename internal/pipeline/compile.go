@@ -65,7 +65,7 @@ func (c Config) Latencies() LatTable {
 
 // edgeMeta is one compiled successor edge: the target block position and
 // whether the successor's fetch stalls behind the transfer's resolution
-// (the EdgeContext redirect rule, pre-evaluated from the edge kind).
+// (the redirect rule, pre-evaluated from the edge kind).
 type edgeMeta struct {
 	to       int32
 	redirect bool
@@ -106,10 +106,9 @@ func Compile(g *cfg.Graph) *Compiled {
 	return c
 }
 
-// Graph returns the graph the model was compiled from.
-func (c *Compiled) Graph() *cfg.Graph { return c.g }
-
-// edgeRedirects pre-evaluates EdgeContext's taken-transfer test.
+// edgeRedirects reports whether the edge is a taken control transfer:
+// those stall the successor's fetch until the transfer resolves plus the
+// redirect penalty. HALT falling to the synthetic exit is not one.
 func edgeRedirects(e *cfg.Edge) bool {
 	switch e.Kind {
 	case cfg.EdgeTaken, cfg.EdgeJump, cfg.EdgeCall, cfg.EdgeReturn, cfg.EdgeExit:
@@ -231,11 +230,17 @@ func (c *Context) joinEdge(o *Context, ifFloor int) bool {
 }
 
 // AnalyzeCosts runs the context fixpoint with worst-case latencies and
-// prices each block under its worst context with base latencies, exactly
-// like the package-level AnalyzeCosts but over the compiled model: the
-// per-block contexts live in a dense slice indexed by block position and
-// blocks are revisited through a worklist in RPO priority order, so only
-// the successors of blocks whose out-context actually changed are
+// prices each block under its worst context with base latencies.
+//
+// worst must upper-bound every latency the hardware can exhibit
+// (classification misses for PS/NC refs); base may assume hits for
+// PERSISTENT references whose misses are charged separately by IPET
+// miss-count variables. Passing the same function for both yields the
+// plain (non-PS-aware) model.
+//
+// The per-block contexts live in a dense slice indexed by block position
+// and blocks are revisited through a worklist in RPO priority order, so
+// only the successors of blocks whose out-context actually changed are
 // re-examined and steady-state iteration allocates nothing.
 func (c *Compiled) AnalyzeCosts(pc Config, worst, base TimingFn) (*CostResult, error) {
 	lt := pc.Latencies()
@@ -293,17 +298,4 @@ func (c *Compiled) AnalyzeCosts(pc Config, worst, base TimingFn) (*CostResult, e
 		res.cost[i] = bt.Dur
 	}
 	return res, nil
-}
-
-// ExecBlock prices one block of the compiled model from the given
-// context without recompiling it: the allocation-free equivalent of the
-// package-level ExecBlock for callers holding the model.
-func (c *Compiled) ExecBlock(lt *LatTable, b *cfg.Block, tim TimingFn, in Context) BlockTiming {
-	m := &c.blocks[b.ID]
-	if m.exit {
-		return BlockTiming{Dur: 0, Out: in, Resolve: 0}
-	}
-	var bt BlockTiming
-	execOps(&bt, lt, c.ops[m.start:m.end], b, tim, &in)
-	return bt
 }

@@ -95,25 +95,6 @@ type Context struct {
 // EntryContext is the task-start context: everything available at t=0.
 func EntryContext() Context { return Context{} }
 
-// Join returns the pointwise maximum (worst case) of two contexts.
-func (c Context) Join(o Context) Context {
-	out := c
-	for i := range out.Avail {
-		if o.Avail[i] > out.Avail[i] {
-			out.Avail[i] = o.Avail[i]
-		}
-	}
-	for i := range out.RegReady {
-		if o.RegReady[i] > out.RegReady[i] {
-			out.RegReady[i] = o.RegReady[i]
-		}
-	}
-	if o.Port > out.Port {
-		out.Port = o.Port
-	}
-	return out
-}
-
 func clamp(x int) int {
 	if x < ctxClamp {
 		return ctxClamp
@@ -160,24 +141,6 @@ func ExecBlock(pc Config, b *cfg.Block, tim TimingFn, in Context) BlockTiming {
 	return bt
 }
 
-// EdgeContext derives the successor's entry context along an edge from
-// the block timing: taken control transfers stall the successor's fetch
-// until the transfer resolves plus the redirect penalty.
-func EdgeContext(pc Config, bt BlockTiming, e *cfg.Edge) Context {
-	ctx := bt.Out
-	switch e.Kind {
-	case cfg.EdgeTaken, cfg.EdgeJump, cfg.EdgeCall, cfg.EdgeReturn, cfg.EdgeExit:
-		if e.Kind == cfg.EdgeExit && !isRealTransfer(e.From) {
-			return ctx // HALT falls to the synthetic exit; no redirect
-		}
-		redirect := clamp(bt.Resolve + pc.BranchPenalty - bt.Dur)
-		if redirect > ctx.Avail[IF] {
-			ctx.Avail[IF] = redirect
-		}
-	}
-	return ctx
-}
-
 func isRealTransfer(b *cfg.Block) bool {
 	if b.IsExit() || b.Len() == 0 {
 		return false
@@ -200,32 +163,8 @@ type CostResult struct {
 // ID (exit blocks cost 0). Callers must treat it as read-only.
 func (r *CostResult) Costs() []int { return r.cost }
 
-// Cost returns the worst-case cost of one block.
-func (r *CostResult) Cost(id cfg.BlockID) int { return r.cost[id] }
-
-// In returns the in-context the fixpoint reached for a block; ok is
-// false when the block was never reached (the context is then the zero
-// entry context, matching how it is priced).
-func (r *CostResult) In(id cfg.BlockID) (Context, bool) { return r.in[id], r.seen[id] }
-
 // maxFixIter guards the context fixpoint (finite lattice; generous).
 const maxFixIter = 10_000
-
-// AnalyzeCosts runs the context fixpoint with worst-case latencies and
-// then prices each block under its worst context with base latencies.
-//
-// worst must upper-bound every latency the hardware can exhibit
-// (classification misses for PS/NC refs); base may assume hits for
-// PERSISTENT references whose misses are charged separately by IPET
-// miss-count variables. Passing the same function for both yields the
-// plain (non-PS-aware) model.
-//
-// AnalyzeCosts compiles the graph on the fly; callers re-pricing one
-// graph under many latency assignments (scenario sweeps) should Compile
-// once and call Compiled.AnalyzeCosts to skip recompilation.
-func AnalyzeCosts(g *cfg.Graph, pc Config, worst, base TimingFn) (*CostResult, error) {
-	return Compile(g).AnalyzeCosts(pc, worst, base)
-}
 
 // SrcRegs returns the registers an instruction reads.
 func SrcRegs(in isa.Inst) []isa.Reg {
@@ -261,8 +200,3 @@ func DstReg(in isa.Inst) (isa.Reg, bool) {
 		return in.Rd, true
 	}
 }
-
-// ExLatOf exposes the per-instruction EX latency (the value a LatTable
-// holds for the instruction's class); the simulator and the static
-// model both read their latencies through Config.Latencies.
-func ExLatOf(c Config, in isa.Inst) int { return c.exLat(in) }

@@ -80,15 +80,6 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// CSV writes comma-separated values (no quoting: cells must not contain
-// commas; experiment output never does).
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintln(w, strings.Join(t.Headers, ","))
-	for _, row := range t.Rows {
-		fmt.Fprintln(w, strings.Join(row, ","))
-	}
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s

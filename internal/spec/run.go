@@ -399,7 +399,7 @@ func runSolo(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.
 		return nil
 	}
 	sims := make([]*sim.Result, len(tasks))
-	err = engine.ForEach(ctx, eng.Workers(), len(tasks), func(i int) error {
+	err = parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
 		res, err := sim.Run(sim.FromConfig(sys, mem, nil, false, tasks[i]), simLimit(s, defaultSimCycles))
 		sims[i] = res
 		return err
@@ -616,7 +616,7 @@ func runBus(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.T
 func runSMT(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) error {
 	cfg := smt.BarreConfig{Threads: s.Mode.SMT.Threads, FULatency: s.Mode.SMT.FULatency, MemLatency: s.Mode.SMT.MemLatency}
 	bounds := make([]int64, len(tasks))
-	err := engine.ForEach(ctx, 0, len(tasks), func(i int) error {
+	err := parallel.For(ctx, 0, len(tasks), func(i int) error {
 		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
 		bounds[i] = b
 		return err
@@ -644,7 +644,7 @@ func runSMT(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) er
 func runPret(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) error {
 	cfg := smt.PretConfig{Threads: s.Mode.PRET.Threads, WheelWindow: s.Mode.PRET.WheelWindow, MemLatency: s.Mode.PRET.MemLatency}
 	bounds := make([]int64, len(tasks))
-	err := engine.ForEach(ctx, 0, len(tasks), func(i int) error {
+	err := parallel.For(ctx, 0, len(tasks), func(i int) error {
 		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
 		// Thread i's first pipeline slot arrives at cycle i, so its
 		// completion time includes that fixed phase offset on top of the

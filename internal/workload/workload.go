@@ -345,6 +345,8 @@ func Set(name string) ([]core.Task, error) {
 // Random returns a seeded random structured program: a loop nest of
 // bounded counting loops with arithmetic and strided memory bodies. All
 // bounds derive automatically; the generator is the property-test fuel.
+//
+//paralint:testonly random programs for the cache, ipet, arbiter and facade property tests
 func Random(seed int64, at Bases) core.Task {
 	rng := rand.New(rand.NewSource(seed))
 	b := isa.NewBuilder(fmt.Sprintf("rand%d", seed)).SetBase(at.Text)
