@@ -369,5 +369,5 @@ func withProg(args []string, f func(*paratime.Program) error) error {
 }
 
 func usage() error {
-	return fmt.Errorf("usage: paratime asm|cfg|wcet|sim <file.s> | suite | run [-json] [-parallelism explore-workers] <scenario.json...|-> | export <id>|all | exp <id>|all | tightness [-update] [file] | sweep [-json] [-parallelism point-workers] [-cache-dir d] [-out f] [-unordered] <sweep.json|-> | serve [-addr a] [-cache-dir d] [-max-inflight n] [-queue n] [-timeout d] [-parallelism explore-workers] | list")
+	return fmt.Errorf("usage: paratime asm|cfg|wcet|sim <file.s> | suite | run [-json] [-parallelism explore-workers] <scenario.json...|-> | export <id>|all | exp <id>|all | tightness [-update] [file] | sweep [-json] [-parallelism point-workers] [-cache-dir d] [-out f] <sweep.json|-> | serve [-addr a] [-cache-dir d] [-max-inflight n] [-queue n] [-timeout d] [-parallelism explore-workers] | list")
 }

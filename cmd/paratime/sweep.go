@@ -57,7 +57,6 @@ func runSweep(ctx context.Context, args []string) error {
 	parallelism := fs.Int("parallelism", 0, "concurrently priced points (0: PARATIME_PARALLELISM or GOMAXPROCS; results are identical at any value)")
 	cacheDir := fs.String("cache-dir", "", "persistent manifest directory for incremental re-runs (empty: recompute everything)")
 	out := fs.String("out", "", "write the result stream to this file instead of stdout")
-	unordered := fs.Bool("unordered", false, "emit lines as points complete instead of in point order (throughput mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -117,7 +116,6 @@ func runSweep(ctx context.Context, args []string) error {
 	sum, err := sweep.Run(ctx, doc, sweep.Options{
 		Engine:      engine.NewWithCache(0, cachestore.NewMemory(defaultSweepMemoEntries)),
 		Parallelism: *parallelism,
-		Unordered:   *unordered,
 		Manifest:    manifest,
 	}, emit)
 	if err != nil {

@@ -9,8 +9,8 @@ import (
 )
 
 // BenchmarkExplore prices a 3-input x 4-pattern state space per
-// iteration and reports the exploration throughput in states/sec — the
-// number CI's bench smoke watches.
+// iteration at one worker and reports the exploration throughput in
+// states/sec — the number CI's bench smoke watches.
 func BenchmarkExplore(b *testing.B) {
 	p := isa.MustAssemble("diamond", diamond)
 	sys := sim.System{Cores: []sim.CoreConfig{simCore("d", p)}, L2: ptr(l2()), Mem: memctrl.DefaultConfig()}
@@ -19,7 +19,7 @@ func BenchmarkExplore(b *testing.B) {
 	states := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Explore(sys, inputs, budget)
+		res, err := ExplorePar(sys, inputs, budget, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

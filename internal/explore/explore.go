@@ -19,15 +19,17 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"paratime/internal/isa"
+	"paratime/internal/parallel"
 	"paratime/internal/sim"
 )
 
-// Default budgets (applied by Explore when the corresponding Budget
+// Default budgets (applied by ExplorePar when the corresponding Budget
 // field is zero).
 const (
 	DefaultMaxBranchDecisions = 16
@@ -155,12 +157,24 @@ func truncatedBudgetErr(sawSteps, sawDecisions bool) error {
 	return fmt.Errorf("explore: no state could be priced within the budgets (every trace exceeded %s)", limit)
 }
 
-// Explore enumerates every input assignment and initial cache pattern
-// within the budget, prices each state with sim.Run, and returns the
-// per-core exact worst case with witnesses. Enumeration order is
-// deterministic: patterns outermost (cold first), then assignments in
-// row-major declared-value order with the last input varying fastest.
-func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
+// ExplorePar enumerates every input assignment and initial cache
+// pattern within the budget, prices each state with sim.Run on up to
+// workers goroutines (one runs inline), and returns the per-core exact
+// worst case with witnesses. Enumeration order is deterministic:
+// patterns outermost (cold first), then assignments in row-major
+// declared-value order with the last input varying fastest. The result,
+// including witnesses, truncation flags and every error message, is the
+// same at any worker count:
+//
+//   - a sequential scan first fixes the exact priced-state list
+//     (memoized taint traces, MaxStates gating);
+//   - the simulations, which are pure functions of their start state,
+//     then run on the worker pool;
+//   - a sequential reduce in enumeration order accumulates the result,
+//     so ties resolve to the lowest state index, and a simulation
+//     failure reports its state number and outranks a trace error from
+//     any later combination.
+func ExplorePar(sys sim.System, inputs []Input, b Budget, workers int) (*Result, error) {
 	b = b.withDefaults()
 	n := len(sys.Cores)
 	if n == 0 {
@@ -191,16 +205,27 @@ func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
 		return tr, nil
 	}
 
+	// Phase 1: sequential scan fixing the priced-state list. The loop
+	// guards depend only on the priced count, which equals the job count
+	// here, so pricing cannot change which states are listed.
+	type job struct {
+		pat     int
+		assigns [][]RegValue
+		trs     []*trace
+		cycles  []int64
+		err     error
+	}
 	res := &Result{ExactWorst: make([]int64, n), Witness: make([]Witness, n)}
 	for i := range res.ExactWorst {
 		res.ExactWorst[i] = -1
 	}
-	paths := map[string]bool{}
-	priced := 0
+	var jobs []*job
+	var traceErr error
 	var sawSteps, sawDecisions bool
 	idxs := make([]int64, n)
-	for pat := 0; pat < b.InitStates && priced < b.MaxStates; pat++ {
-		for combo := int64(0); combo < combos && priced < b.MaxStates; combo++ {
+scan:
+	for pat := 0; pat < b.InitStates && len(jobs) < b.MaxStates; pat++ {
+		for combo := int64(0); combo < combos && len(jobs) < b.MaxStates; combo++ {
 			decompose(combo, counts, idxs)
 			assigns := make([][]RegValue, n)
 			trs := make([]*trace, n)
@@ -209,7 +234,11 @@ func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
 				assigns[c] = assignFor(perCore[c], idxs[c])
 				tr, err := getTrace(c, idxs[c])
 				if err != nil {
-					return nil, err
+					// Enumeration stops here, but every state already on
+					// the list is still priced: a simulation failure among
+					// them takes precedence over this error.
+					traceErr = err
+					break scan
 				}
 				trs[c] = tr
 				if tr.truncated {
@@ -222,33 +251,63 @@ func Explore(sys sim.System, inputs []Input, b Budget) (*Result, error) {
 				res.Truncated = true
 				continue
 			}
-			run := sys
-			run.Cores = make([]sim.CoreConfig, n)
-			copy(run.Cores, sys.Cores)
-			for c := range run.Cores {
-				run.Cores[c].InitRegs = initRegs(assigns[c])
-				run.Cores[c].WarmI, run.Cores[c].WarmD = warmAddrs(run.Cores[c], pat)
+			jobs = append(jobs, &job{pat: pat, assigns: assigns, trs: trs})
+		}
+	}
+
+	// Phase 2: price every state on the worker pool. Each job builds its
+	// own core slice, and sim.Run builds every stateful device (caches,
+	// memory controller, bus session) per call, so concurrent runs share
+	// only read-only inputs: programs, geometries and the bus policy.
+	// The closure records a simulation failure in its job and returns nil,
+	// so every state is still priced and phase 3 reports failures in
+	// enumeration order.
+	_ = parallel.For(context.Background(), workers, len(jobs), func(k int) error {
+		j := jobs[k]
+		run := sys
+		run.Cores = make([]sim.CoreConfig, n)
+		copy(run.Cores, sys.Cores)
+		for c := range run.Cores {
+			run.Cores[c].InitRegs = initRegs(j.assigns[c])
+			run.Cores[c].WarmI, run.Cores[c].WarmD = warmAddrs(run.Cores[c], j.pat)
+		}
+		simRes, err := sim.Run(run, b.MaxCycles)
+		if err != nil {
+			j.err = err
+			return nil
+		}
+		j.cycles = make([]int64, n)
+		for c := 0; c < n; c++ {
+			j.cycles[c] = simRes.Cycles(c)
+		}
+		return nil
+	})
+
+	// Phase 3: sequential reduce in enumeration order.
+	paths := map[string]bool{}
+	priced := 0
+	for _, j := range jobs {
+		if j.err != nil {
+			return nil, fmt.Errorf("explore: state %d (pattern %d): %w", priced, j.pat, j.err)
+		}
+		priced++
+		for c := 0; c < n; c++ {
+			paths[fmt.Sprintf("%d|%s", c, j.trs[c].path)] = true
+			if j.trs[c].decisions > res.MaxDecisions {
+				res.MaxDecisions = j.trs[c].decisions
 			}
-			simRes, err := sim.Run(run, b.MaxCycles)
-			if err != nil {
-				return nil, fmt.Errorf("explore: state %d (pattern %d): %w", priced, pat, err)
-			}
-			priced++
-			for c := 0; c < n; c++ {
-				paths[fmt.Sprintf("%d|%s", c, trs[c].path)] = true
-				if trs[c].decisions > res.MaxDecisions {
-					res.MaxDecisions = trs[c].decisions
-				}
-				if cyc := simRes.Cycles(c); cyc > res.ExactWorst[c] {
-					res.ExactWorst[c] = cyc
-					res.Witness[c] = Witness{
-						Init:   InitState{Regs: assigns, Pattern: pat},
-						Path:   trs[c].path,
-						Cycles: cyc,
-					}
+			if cyc := j.cycles[c]; cyc > res.ExactWorst[c] {
+				res.ExactWorst[c] = cyc
+				res.Witness[c] = Witness{
+					Init:   InitState{Regs: j.assigns, Pattern: j.pat},
+					Path:   j.trs[c].path,
+					Cycles: cyc,
 				}
 			}
 		}
+	}
+	if traceErr != nil {
+		return nil, traceErr
 	}
 	if priced == 0 {
 		return nil, truncatedBudgetErr(sawSteps, sawDecisions)

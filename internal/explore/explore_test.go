@@ -69,7 +69,7 @@ func TestExploreFindsWorstInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Explore(sys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 1}}}, Budget{})
+	res, err := ExplorePar(sys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 1}}}, Budget{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestExploreDeterministic(t *testing.T) {
 	sys := sim.System{Cores: []sim.CoreConfig{simCore("d", p)}, Mem: memctrl.DefaultConfig()}
 	inputs := []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 1, 5}}}
 	b := Budget{InitStates: 3}
-	r1, err := Explore(sys, inputs, b)
+	r1, err := ExplorePar(sys, inputs, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Explore(sys, inputs, b)
+	r2, err := ExplorePar(sys, inputs, b, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestExploreDeterministic(t *testing.T) {
 func TestExploreInitStatesEnumerated(t *testing.T) {
 	p := isa.MustAssemble("diamond", diamond)
 	sys := sim.System{Cores: []sim.CoreConfig{simCore("d", p)}, L2: ptr(l2()), Mem: memctrl.DefaultConfig()}
-	res, err := Explore(sys, nil, Budget{InitStates: 4})
+	res, err := ExplorePar(sys, nil, Budget{InitStates: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +154,8 @@ func TestExploreTruncation(t *testing.T) {
 	sys := sim.System{Cores: []sim.CoreConfig{simCore("d", p)}, Mem: memctrl.DefaultConfig()}
 
 	// MaxStates cuts enumeration off.
-	res, err := Explore(sys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 1, 2, 3}}},
-		Budget{MaxStates: 2})
+	res, err := ExplorePar(sys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 1, 2, 3}}},
+		Budget{MaxStates: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ loop:   beq  r1, r0, done
         j    loop
 done:   halt`)
 	lsys := sim.System{Cores: []sim.CoreConfig{simCore("l", loop)}, Mem: memctrl.DefaultConfig()}
-	res, err = Explore(lsys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 8}}},
-		Budget{MaxBranchDecisions: 4})
+	res, err = ExplorePar(lsys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{0, 8}}},
+		Budget{MaxBranchDecisions: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +182,8 @@ done:   halt`)
 	}
 
 	// Every trace over budget: no state priced, explicit error.
-	if _, err = Explore(lsys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{8, 9}}},
-		Budget{MaxBranchDecisions: 2}); err == nil {
+	if _, err = ExplorePar(lsys, []Input{{Core: 0, Reg: isa.R1, Values: []int32{8, 9}}},
+		Budget{MaxBranchDecisions: 2}, 1); err == nil {
 		t.Error("all-truncated exploration must fail, not report an empty exact worst")
 	}
 }
@@ -197,7 +197,7 @@ func TestExploreRejectsBadInputs(t *testing.T) {
 		"no values":         {{Core: 0, Reg: isa.R1}},
 		"duplicate":         {{Core: 0, Reg: isa.R1, Values: []int32{0}}, {Core: 0, Reg: isa.R1, Values: []int32{1}}},
 	} {
-		if _, err := Explore(sys, bad, Budget{}); err == nil {
+		if _, err := ExplorePar(sys, bad, Budget{}, 1); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -314,7 +314,7 @@ func TestSandwichAllRegimes(t *testing.T) {
 			for i := range progs {
 				inputs = append(inputs, Input{Core: i, Reg: isa.R1, Values: []int32{0, 1, 3}})
 			}
-			res, err := Explore(sys, inputs, Budget{InitStates: 2})
+			res, err := ExplorePar(sys, inputs, Budget{InitStates: 2}, 1)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", regimeName, trial, err)
 			}

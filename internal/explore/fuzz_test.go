@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"paratime/internal/core"
@@ -12,8 +11,9 @@ import (
 )
 
 // FuzzExploreWitness mutates program shape, input domains and budgets,
-// and checks the explorer's contract on every variant: enumeration is
-// deterministic, the witness replays via sim.Run to exactly ExactWorst,
+// and checks the explorer's contract on every variant: ExplorePar at
+// workers 1 and 3 matches the sequential oracle (results, witnesses and
+// error text), the witness replays via sim.Run to exactly ExactWorst,
 // and the exact worst never exceeds the static bound.
 func FuzzExploreWitness(f *testing.F) {
 	f.Add(uint8(3), uint8(2), uint8(1), uint8(2), uint8(8))
@@ -43,18 +43,15 @@ join:   ld   r5, 0(r6)
 			InitStates:         1 + int(patB%4),
 			MaxBranchDecisions: 1 + int(decB%24),
 		}
-		res, err := Explore(sys, inputs, b)
+		res, err := oracleExplore(sys, inputs, b)
+		for _, workers := range []int{1, 3} {
+			got, gotErr := ExplorePar(sys, inputs, b, workers)
+			requireSameExplore(t, fmt.Sprintf("workers %d", workers), res, err, got, gotErr)
+		}
 		if err != nil {
 			// Budgets can legitimately exclude every trace; that must be
 			// an explicit error, never a silent empty result.
 			return
-		}
-		again, err := Explore(sys, inputs, b)
-		if err != nil {
-			t.Fatalf("second run failed where first succeeded: %v", err)
-		}
-		if !reflect.DeepEqual(res, again) {
-			t.Fatalf("enumeration not deterministic:\n%+v\n%+v", res, again)
 		}
 		rep, err := Replay(sys, res.Witness[0].Init, 0)
 		if err != nil {

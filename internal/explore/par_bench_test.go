@@ -18,7 +18,7 @@ func benchParSystem() (sim.System, []Input, Budget) {
 
 // BenchmarkExplorePar prices the enumerated state space on a worker
 // pool — the coarsest-grained parallel path, one full simulation per
-// work item — against its sequential twin below.
+// work item — at several worker counts; workers=1 runs inline.
 func BenchmarkExplorePar(b *testing.B) {
 	sys, inputs, budget := benchParSystem()
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -35,20 +35,4 @@ func BenchmarkExplorePar(b *testing.B) {
 			b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/sec")
 		})
 	}
-}
-
-// BenchmarkExploreParSeq is the sequential twin of BenchmarkExplorePar:
-// the plain Explore entry point on the identical state space.
-func BenchmarkExploreParSeq(b *testing.B) {
-	sys, inputs, budget := benchParSystem()
-	states := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Explore(sys, inputs, budget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		states += res.States
-	}
-	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/sec")
 }

@@ -16,28 +16,29 @@ import (
 )
 
 // requireSameExplore compares full exploration outcomes, including the
-// error channel: parallel pricing must reproduce witnesses, counters,
-// truncation flags and error text exactly.
+// error channel: ExplorePar must reproduce the oracle's witnesses,
+// counters, truncation flags and error text exactly.
 func requireSameExplore(t *testing.T, label string, want *Result, wantErr error, got *Result, gotErr error) {
 	t.Helper()
 	if (wantErr == nil) != (gotErr == nil) {
-		t.Fatalf("%s: error mismatch: sequential %v, parallel %v", label, wantErr, gotErr)
+		t.Fatalf("%s: error mismatch: oracle %v, ExplorePar %v", label, wantErr, gotErr)
 	}
 	if wantErr != nil {
 		if wantErr.Error() != gotErr.Error() {
-			t.Fatalf("%s: error text:\nseq %q\npar %q", label, wantErr, gotErr)
+			t.Fatalf("%s: error text:\noracle %q\ngot    %q", label, wantErr, gotErr)
 		}
 		return
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("%s: results differ:\nseq %+v\npar %+v", label, want, got)
+		t.Fatalf("%s: results differ:\noracle %+v\ngot    %+v", label, want, got)
 	}
 }
 
 // TestExploreParMatchesSequential: ExplorePar must be bit-identical to
-// Explore — same ExactWorst, witnesses, state/path counters, truncation
-// — for random input-dependent programs, solo and co-running, at
-// several worker counts under GOMAXPROCS 1 and 8.
+// the sequential oracle — same ExactWorst, witnesses, state/path
+// counters, truncation — for random input-dependent programs, solo and
+// co-running, at several worker counts (one included: it runs the same
+// plan/price/reduce loop inline) under GOMAXPROCS 1 and 8.
 func TestExploreParMatchesSequential(t *testing.T) {
 	for _, procs := range []int{1, 8} {
 		old := runtime.GOMAXPROCS(procs)
@@ -55,8 +56,8 @@ func TestExploreParMatchesSequential(t *testing.T) {
 					sys.L2 = ptr(l2())
 				}
 				b := Budget{InitStates: 2}
-				want, wantErr := Explore(sys, inputs, b)
-				for _, workers := range []int{2, 8} {
+				want, wantErr := oracleExplore(sys, inputs, b)
+				for _, workers := range []int{1, 2, 8} {
 					label := fmt.Sprintf("procs %d trial %d cores %d workers %d", procs, trial, nCores, workers)
 					got, gotErr := ExplorePar(sys, inputs, b, workers)
 					requireSameExplore(t, label, want, wantErr, got, gotErr)
@@ -69,10 +70,10 @@ func TestExploreParMatchesSequential(t *testing.T) {
 
 // TestExploreParTopologies: every co-run topology the scenarios build
 // (solo, joint, partition, and bus under round-robin and TDMA) must
-// price identically at workers 2, 3 and 8 and at workers 1. Workers
-// share one sim.System, bus arbiter included, so any request state
-// leaking into that shared value shows up here as a diverging worst
-// case and, under -race, as a data race.
+// price like the oracle at workers 1, 2, 3 and 8. Workers share one
+// sim.System, bus arbiter included, so any request state leaking into
+// that shared value shows up here as a diverging worst case and, under
+// -race, as a data race.
 func TestExploreParTopologies(t *testing.T) {
 	regs := regimes()
 	lat := l2().HitLatency + memctrl.DefaultConfig().Bound()
@@ -108,11 +109,11 @@ func TestExploreParTopologies(t *testing.T) {
 		}
 		sys := systems[name](progs)
 		b := Budget{InitStates: 2}
-		want, wantErr := ExplorePar(sys, inputs, b, 1)
+		want, wantErr := oracleExplore(sys, inputs, b)
 		if wantErr != nil {
 			t.Fatalf("%s: %v", name, wantErr)
 		}
-		for _, workers := range []int{2, 3, 8} {
+		for _, workers := range []int{1, 2, 3, 8} {
 			got, gotErr := ExplorePar(sys, inputs, b, workers)
 			requireSameExplore(t, fmt.Sprintf("%s workers %d", name, workers), want, wantErr, got, gotErr)
 		}
@@ -121,7 +122,8 @@ func TestExploreParTopologies(t *testing.T) {
 
 // TestExploreParTruncation: budget truncation semantics — the MaxStates
 // cut-off point, the Truncated flag and the all-truncated error naming
-// the limiting budget field — must survive parallel pricing unchanged.
+// the limiting budget field — must match the oracle at every worker
+// count.
 func TestExploreParTruncation(t *testing.T) {
 	p := isa.MustAssemble("diamond", diamond)
 	sys := sim.System{Cores: []sim.CoreConfig{simCore("d", p)}, Mem: memctrl.DefaultConfig()}
@@ -136,7 +138,7 @@ func TestExploreParTruncation(t *testing.T) {
 		"all-truncated-steps": {InitStates: 2, MaxSteps: 3},
 	}
 	for name, b := range budgets {
-		want, wantErr := Explore(sys, inputs, b)
+		want, wantErr := oracleExplore(sys, inputs, b)
 		if name == "max-states" {
 			if wantErr != nil {
 				t.Fatalf("%s: %v", name, wantErr)
@@ -146,7 +148,7 @@ func TestExploreParTruncation(t *testing.T) {
 			}
 		} else {
 			if wantErr == nil {
-				t.Fatalf("%s: sequential exploration unexpectedly succeeded", name)
+				t.Fatalf("%s: oracle exploration unexpectedly succeeded", name)
 			}
 			field := "MaxBranchDecisions"
 			if name == "all-truncated-steps" {
@@ -156,7 +158,7 @@ func TestExploreParTruncation(t *testing.T) {
 				t.Fatalf("%s: error %q does not name %s", name, wantErr, field)
 			}
 		}
-		for _, workers := range []int{2, 8} {
+		for _, workers := range []int{1, 2, 8} {
 			got, gotErr := ExplorePar(sys, inputs, b, workers)
 			requireSameExplore(t, fmt.Sprintf("%s workers %d", name, workers), want, wantErr, got, gotErr)
 		}

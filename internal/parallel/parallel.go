@@ -5,18 +5,21 @@
 // service wire their -parallelism flags into.
 //
 // Within one analysis the only parallel step is explore pricing
-// (explore.ExplorePar): the cache and pipeline fixpoints run
+// (explore.ExplorePar), one implementation at every worker count: For
+// runs it inline at one worker. The cache and pipeline fixpoints run
 // sequentially, because their parallel schedules never beat the
 // sequential worklists. Across analyses, the batch engine, the CLI's
-// experiment runner and scenario execution fan out with For, and sweep
-// workers run their own pump.
+// experiment runner and scenario execution (per-task analyses and
+// simulations, SMT and PRET bounds) fan out with For under the
+// engine's worker bound, and sweep workers run their own pump.
 //
 // The determinism contract: work items are independent (each index
 // writes only its own slot of a result vector, and shares only
 // read-only inputs with other indices), and reductions happen after the
 // barrier in index order. The parallel schedule therefore produces
 // bit-identical results to the sequential loop at any worker count,
-// which the explore differential tests check at several worker counts.
+// which the explore differential tests check against a sequential
+// oracle at several worker counts.
 package parallel
 
 import (

@@ -186,7 +186,8 @@ func orDash(s string) string {
 // Run executes a validated scenario: it materializes tasks and system,
 // dispatches to the analysis machinery selected by the mode (through the
 // batch engine's worker pool and memo cache), optionally cross-checks
-// the bounds in simulation, and assembles a Report. A nil engine gets a
+// the bounds in simulation and by exhaustive exploration on the mode's
+// simulated machines, and assembles a Report. A nil engine gets a
 // private one. Cancelling ctx makes Run return promptly with ctx.Err().
 func Run(ctx context.Context, s *Scenario, eng *engine.Engine) (*Report, error) {
 	if err := s.Validate(); err != nil {
@@ -210,69 +211,128 @@ func Run(ctx context.Context, s *Scenario, eng *engine.Engine) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
-	mem := s.System.MemConfig()
-
 	rep := &Report{Spec: Version, Scenario: s.Name, Mode: s.Mode.Kind}
 	switch s.Mode.Kind {
 	case KindSolo:
-		err = runSolo(ctx, s, eng, tasks, sys, mem, rep)
+		err = runSolo(ctx, eng, tasks, sys, rep)
 	case KindJoint:
-		err = runJoint(ctx, s, eng, tasks, sys, mem, rep)
+		err = runJoint(ctx, s, eng, tasks, sys, rep)
 	case KindPartition:
-		err = runPartition(ctx, s, eng, tasks, sys, mem, rep)
+		err = runPartition(ctx, s, eng, tasks, sys, rep)
 	case KindLock:
 		err = runLock(ctx, s, tasks, sys, rep)
 	case KindBus:
-		err = runBus(ctx, s, eng, tasks, sys, mem, rep)
+		err = runBus(ctx, s, eng, tasks, sys, rep)
 	case KindSMT:
-		err = runSMT(ctx, s, tasks, rep)
+		err = runSMT(ctx, s, eng, tasks, rep)
 	case KindPRET:
-		err = runPret(ctx, s, tasks, rep)
+		err = runPret(ctx, s, eng, tasks, rep)
 	default:
 		err = fmt.Errorf("spec: unknown mode kind %q", s.Mode.Kind)
 	}
 	if err != nil {
 		return nil, err
 	}
+	if s.Sim == nil && s.Explore == nil {
+		return rep, nil
+	}
+	ms, err := machines(s, tasks, sys, s.System.MemConfig())
+	if err != nil {
+		return nil, err
+	}
+	if s.Sim != nil && len(ms) > 0 {
+		if err := runSim(ctx, s, eng, ms, rep); err != nil {
+			return nil, err
+		}
+	}
 	if s.Explore != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := runExplore(s, tasks, sys, mem, rep); err != nil {
+		if err := runExplore(s, tasks, parallel.Resolve(sys.Parallelism), ms, rep); err != nil {
 			return nil, err
 		}
 	}
 	return rep, nil
 }
 
-// exploreSystem builds the co-run topology the explorer prices — the
-// same topology the sim block of the matching mode validates against.
-func exploreSystem(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) (sim.System, error) {
+// machine is one simulated machine of a scenario: core c runs
+// tasks[task[c]].
+type machine struct {
+	sys  sim.System
+	task []int
+}
+
+// machines builds the simulated machines that validate a scenario's
+// bounds; the sim check and the explorer both run on them. Mode solo
+// gives each task a machine of its own; joint, partition and bus co-run
+// every task on one machine, core i running task i, under the sharing
+// regime the analysis assumed. Lock has no simulated machine, and SMT
+// and PRET validate on their own simulators.
+func machines(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error) {
+	var coRun sim.System
 	switch s.Mode.Kind {
+	case KindSolo:
+		ms := make([]machine, len(tasks))
+		for i := range tasks {
+			ms[i] = machine{sim.FromConfig(sys, mem, nil, false, tasks[i]), []int{i}}
+		}
+		return ms, nil
 	case KindJoint:
-		return sim.FromConfig(sys, mem, nil, true, tasks...), nil
+		coRun = sim.FromConfig(sys, mem, nil, true, tasks...)
 	case KindPartition:
+		// Each core is confined to a private view of its partition — the
+		// isolation the partitioned analysis assumes.
 		view, err := partitionView(s, sys, len(tasks))
 		if err != nil {
-			return sim.System{}, err
+			return nil, err
 		}
 		views := make([]*cache.Config, len(tasks))
 		for i := range views {
 			views[i] = &view
 		}
-		return sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views), nil
+		coRun = sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views)
 	case KindBus:
-		return sim.FromConfig(sys, mem, buildArbiter(s), false, tasks...), nil
+		coRun = sim.FromConfig(sys, mem, buildArbiter(s), false, tasks...)
 	default:
-		return sim.System{}, fmt.Errorf("spec: explore is not supported in mode %q", s.Mode.Kind)
+		return nil, nil
 	}
+	task := make([]int, len(tasks))
+	for i := range task {
+		task[i] = i
+	}
+	return []machine{{coRun, task}}, nil
+}
+
+// runSim simulates every machine and fills rep.Sim in task order.
+func runSim(ctx context.Context, s *Scenario, eng *engine.Engine, ms []machine, rep *Report) error {
+	res := make([]*sim.Result, len(ms))
+	err := parallel.For(ctx, eng.Workers(), len(ms), func(k int) error {
+		var err error
+		res[k], err = sim.Run(ms[k].sys, simLimit(s, defaultSimCycles))
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for k, m := range ms {
+		for c, i := range m.task {
+			st := res[k].Stats[c]
+			rep.Sim = append(rep.Sim, SimReport{
+				Name: rep.Tasks[i].Name, Cycles: st.Cycles, BusWaitMax: st.BusWaitMax,
+				Sound: rep.Tasks[i].WCET >= st.Cycles,
+			})
+		}
+	}
+	return nil
 }
 
 // runExplore executes the scenario's explore block after the static
 // analysis filled rep.Tasks, attaching exact_worst, tightness and a
-// witness per task plus the exploration summary. Mode solo explores
-// each task alone; joint, partition and bus explore the full co-run.
-func runExplore(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
+// witness per task plus the exploration summary. It explores each
+// machine in turn: each task alone in mode solo, the full co-run in
+// joint, partition and bus.
+func runExplore(s *Scenario, tasks []core.Task, workers int, ms []machine, rep *Report) error {
 	e := s.Explore
 	b := explore.Budget{
 		MaxBranchDecisions: e.MaxBranchDecisions,
@@ -281,90 +341,48 @@ func runExplore(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memct
 		MaxSteps:           e.MaxSteps,
 		MaxCycles:          simLimit(s, defaultSimCycles),
 	}
-	taskIdx := map[string]int{}
-	for i, t := range tasks {
-		taskIdx[t.Name] = i
-	}
-	// inputsFor maps the declared inputs onto sim cores: core i runs
-	// task remap[i] (identity for co-runs, a single task for solo).
-	inputsFor := func(remap []int) ([]explore.Input, error) {
-		var out []explore.Input
+	agg := &ExploreReport{}
+	for _, m := range ms {
+		// Map the declared inputs onto the machine's cores.
+		var ins []explore.Input
 		for _, in := range e.Inputs {
 			r, ok := RegByName(in.Reg)
 			if !ok {
-				return nil, fmt.Errorf("spec: explore input register %q", in.Reg)
+				return fmt.Errorf("spec: explore input register %q", in.Reg)
 			}
-			for c, ti := range remap {
-				if taskIdx[in.Task] == ti {
-					out = append(out, explore.Input{Core: c, Reg: r, Values: in.Values})
+			for c, i := range m.task {
+				if tasks[i].Name == in.Task {
+					ins = append(ins, explore.Input{Core: c, Reg: r, Values: in.Values})
 				}
 			}
 		}
-		return out, nil
-	}
-	// witnessReport renders a witness; core c of the explored system
-	// runs task remap[c].
-	witnessReport := func(w explore.Witness, remap []int) *WitnessReport {
-		wr := &WitnessReport{Pattern: w.Init.Pattern, Path: w.Path}
-		for c, assign := range w.Init.Regs {
-			for _, rv := range assign {
-				wr.Inputs = append(wr.Inputs,
-					fmt.Sprintf("%s.%s=%d", tasks[remap[c]].Name, rv.Reg, rv.Value))
-			}
-		}
-		return wr
-	}
-	record := func(i int, exact int64, w explore.Witness, remap []int) {
-		rep.Tasks[i].ExactWorst = exact
-		if rep.Tasks[i].WCET > 0 {
-			rep.Tasks[i].Tightness = float64(exact) / float64(rep.Tasks[i].WCET)
-		}
-		rep.Tasks[i].Witness = witnessReport(w, remap)
-	}
-
-	agg := &ExploreReport{}
-	if s.Mode.Kind == KindSolo {
-		for i := range tasks {
-			ins, err := inputsFor([]int{i})
-			if err != nil {
-				return err
-			}
-			res, err := explore.ExplorePar(sim.FromConfig(sys, mem, nil, false, tasks[i]), ins, b, parallel.Resolve(sys.Parallelism))
-			if err != nil {
-				return fmt.Errorf("spec: explore task %q: %w", tasks[i].Name, err)
-			}
-			record(i, res.ExactWorst[0], res.Witness[0], []int{i})
-			agg.States += res.States
-			agg.Paths += res.Paths
-			if res.MaxDecisions > agg.MaxDecisions {
-				agg.MaxDecisions = res.MaxDecisions
-			}
-			agg.Truncated = agg.Truncated || res.Truncated
-		}
-	} else {
-		simSys, err := exploreSystem(s, tasks, sys, mem)
+		res, err := explore.ExplorePar(m.sys, ins, b, workers)
 		if err != nil {
-			return err
-		}
-		remap := make([]int, len(tasks))
-		for i := range remap {
-			remap[i] = i
-		}
-		ins, err := inputsFor(remap)
-		if err != nil {
-			return err
-		}
-		res, err := explore.ExplorePar(simSys, ins, b, parallel.Resolve(sys.Parallelism))
-		if err != nil {
+			if s.Mode.Kind == KindSolo {
+				return fmt.Errorf("spec: explore task %q: %w", tasks[m.task[0]].Name, err)
+			}
 			return fmt.Errorf("spec: explore: %w", err)
 		}
-		for i := range tasks {
-			record(i, res.ExactWorst[i], res.Witness[i], remap)
+		for c, i := range m.task {
+			w := res.Witness[c]
+			wr := &WitnessReport{Pattern: w.Init.Pattern, Path: w.Path}
+			for wc, assign := range w.Init.Regs {
+				for _, rv := range assign {
+					wr.Inputs = append(wr.Inputs,
+						fmt.Sprintf("%s.%s=%d", tasks[m.task[wc]].Name, rv.Reg, rv.Value))
+				}
+			}
+			t := &rep.Tasks[i]
+			t.ExactWorst = res.ExactWorst[c]
+			if t.WCET > 0 {
+				t.Tightness = float64(t.ExactWorst) / float64(t.WCET)
+			}
+			t.Witness = wr
 		}
-		agg.States = res.States
-		agg.Paths = res.Paths
-		agg.MaxDecisions = res.MaxDecisions
-		agg.Truncated = res.Truncated
+		agg.States += res.States
+		agg.Paths += res.Paths
+		agg.MaxDecisions = max(agg.MaxDecisions, res.MaxDecisions)
+		agg.Truncated = agg.Truncated || res.Truncated
 	}
 	rep.Explore = agg
 	return nil
@@ -377,17 +395,7 @@ func simLimit(s *Scenario, fallback int64) int64 {
 	return fallback
 }
 
-func fillSim(rep *Report, tasks []core.Task, cycles func(i int) int64, waitMax func(i int) int64) {
-	for i, t := range tasks {
-		sr := SimReport{Name: t.Name, Cycles: cycles(i), Sound: rep.Tasks[i].WCET >= cycles(i)}
-		if waitMax != nil {
-			sr.BusWaitMax = waitMax(i)
-		}
-		rep.Sim = append(rep.Sim, sr)
-	}
-}
-
-func runSolo(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
+func runSolo(ctx context.Context, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
 	as, err := eng.AnalyzeAll(ctx, engine.Requests(tasks, sys))
 	if err != nil {
 		return err
@@ -395,19 +403,6 @@ func runSolo(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.
 	for i, a := range as {
 		rep.Tasks = append(rep.Tasks, TaskReport{Name: tasks[i].Name, WCET: a.WCET, Classes: a.ClassSummary()})
 	}
-	if s.Sim == nil {
-		return nil
-	}
-	sims := make([]*sim.Result, len(tasks))
-	err = parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
-		res, err := sim.Run(sim.FromConfig(sys, mem, nil, false, tasks[i]), simLimit(s, defaultSimCycles))
-		sims[i] = res
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, func(i int) int64 { return sims[i].Cycles(0) }, nil)
 	return nil
 }
 
@@ -418,7 +413,7 @@ func conflictModel(name string) interfere.ConflictModel {
 	return interfere.AgeShift
 }
 
-func runJoint(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
+func runJoint(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
 	as, err := eng.PrepareAll(ctx, engine.Requests(tasks, sys))
 	if err != nil {
 		return err
@@ -468,17 +463,6 @@ func runJoint(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core
 			})
 		}
 	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.FromConfig(sys, mem, nil, true, tasks...), simLimit(s, defaultSimCycles))
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, res.Cycles, nil)
 	return nil
 }
 
@@ -504,7 +488,7 @@ func partitionView(s *Scenario, sys core.SystemConfig, nTasks int) (cache.Config
 	return view, nil
 }
 
-func runPartition(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
+func runPartition(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
 	view, err := partitionView(s, sys, len(tasks))
 	if err != nil {
 		return err
@@ -518,23 +502,6 @@ func runPartition(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []
 	for i, a := range as {
 		rep.Tasks = append(rep.Tasks, TaskReport{Name: tasks[i].Name, WCET: a.WCET, Classes: a.ClassSummary()})
 	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Co-run every task with its core confined to a private view of its
-	// partition — the isolation the partitioned analysis assumes.
-	views := make([]*cache.Config, len(tasks))
-	for i := range views {
-		views[i] = &view
-	}
-	res, err := sim.Run(sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views), simLimit(s, defaultSimCycles))
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, res.Cycles, nil)
 	return nil
 }
 
@@ -582,7 +549,7 @@ func buildArbiter(s *Scenario) arbiter.Arbiter {
 	}
 }
 
-func runBus(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config, rep *Report) error {
+func runBus(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
 	arb := buildArbiter(s)
 	reqs := make([]engine.Request, len(tasks))
 	for i, t := range tasks {
@@ -599,24 +566,13 @@ func runBus(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.T
 			Name: tasks[i].Name, WCET: a.WCET, BusBound: arb.Bound(i), Classes: a.ClassSummary(),
 		})
 	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.FromConfig(sys, mem, arb, false, tasks...), simLimit(s, defaultSimCycles))
-	if err != nil {
-		return err
-	}
-	fillSim(rep, tasks, res.Cycles, func(i int) int64 { return res.Stats[i].BusWaitMax })
 	return nil
 }
 
-func runSMT(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) error {
+func runSMT(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, rep *Report) error {
 	cfg := smt.BarreConfig{Threads: s.Mode.SMT.Threads, FULatency: s.Mode.SMT.FULatency, MemLatency: s.Mode.SMT.MemLatency}
 	bounds := make([]int64, len(tasks))
-	err := parallel.For(ctx, 0, len(tasks), func(i int) error {
+	err := parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
 		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
 		bounds[i] = b
 		return err
@@ -637,14 +593,16 @@ func runSMT(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) er
 	if err != nil {
 		return err
 	}
-	fillSim(rep, tasks, func(i int) int64 { return times[i] }, nil)
+	for i, t := range rep.Tasks {
+		rep.Sim = append(rep.Sim, SimReport{Name: t.Name, Cycles: times[i], Sound: t.WCET >= times[i]})
+	}
 	return nil
 }
 
-func runPret(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) error {
+func runPret(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, rep *Report) error {
 	cfg := smt.PretConfig{Threads: s.Mode.PRET.Threads, WheelWindow: s.Mode.PRET.WheelWindow, MemLatency: s.Mode.PRET.MemLatency}
 	bounds := make([]int64, len(tasks))
-	err := parallel.For(ctx, 0, len(tasks), func(i int) error {
+	err := parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
 		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
 		// Thread i's first pipeline slot arrives at cycle i, so its
 		// completion time includes that fixed phase offset on top of the
@@ -668,7 +626,9 @@ func runPret(ctx context.Context, s *Scenario, tasks []core.Task, rep *Report) e
 	if err != nil {
 		return err
 	}
-	fillSim(rep, tasks, func(i int) int64 { return times[i] }, nil)
+	for i, t := range rep.Tasks {
+		rep.Sim = append(rep.Sim, SimReport{Name: t.Name, Cycles: times[i], Sound: t.WCET >= times[i]})
+	}
 	return nil
 }
 

@@ -376,7 +376,8 @@ func TestRunExplore(t *testing.T) {
 
 // TestRunExploreWitnessRoundTrip: the witness printed in the report is
 // replayable — rebuilding the exploration start state from the report
-// reproduces ExactWorst exactly.
+// and replaying it on the scenario's simulated machine reproduces
+// ExactWorst exactly.
 func TestRunExploreWitnessRoundTrip(t *testing.T) {
 	sc := exploreScenario(t, "exp-replay", KindBus, 2)
 	rep, err := Run(context.Background(), sc, nil)
@@ -393,10 +394,14 @@ func TestRunExploreWitnessRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simSys, err := exploreSystem(sc, tasks, sys, sc.System.MemConfig())
+	ms, err := machines(sc, tasks, sys, sc.System.MemConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(ms) != 1 {
+		t.Fatalf("bus mode built %d machines, want one co-run", len(ms))
+	}
+	simSys := ms[0].sys
 	for ti, tr := range rep.Tasks {
 		init := explore.InitState{Pattern: tr.Witness.Pattern, Regs: make([][]explore.RegValue, len(tasks))}
 		for _, in := range tr.Witness.Inputs {

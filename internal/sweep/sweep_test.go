@@ -90,26 +90,6 @@ func TestOrderedAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestUnorderedSameLines: throughput mode emits the same line set, just
-// possibly reordered.
-func TestUnorderedSameLines(t *testing.T) {
-	ref, _ := ndjson(t, testSweep(), Options{Parallelism: 1})
-	got, sum := ndjson(t, testSweep(), Options{Parallelism: 8, Unordered: true})
-	want := map[string]bool{}
-	for _, l := range strings.Split(strings.TrimSpace(string(ref)), "\n") {
-		want[l] = true
-	}
-	lines := strings.Split(strings.TrimSpace(string(got)), "\n")
-	if len(lines) != len(want) || sum.Points != len(want) {
-		t.Fatalf("unordered emitted %d lines, want %d", len(lines), len(want))
-	}
-	for _, l := range lines {
-		if !want[l] {
-			t.Errorf("unordered line not in sequential set: %s", l)
-		}
-	}
-}
-
 // TestPrepareReuseRatio: a sweep varying only parameters outside
 // core.PrepareKey prepares the task once — misses = 1 task, hits =
 // (points-1) × tasks, so reuse is (points-1)/points.
@@ -241,6 +221,42 @@ func TestCancelledContext(t *testing.T) {
 	_, err := Run(ctx, testSweep(), Options{Parallelism: 2}, func(Line) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCancelStopsEmission: once the context is cancelled, Run emits no
+// further line — in particular none carrying the cancellation as a point
+// error — and returns context.Canceled, on the inline path and the
+// pipelined one.
+func TestCancelStopsEmission(t *testing.T) {
+	doc := testSweep()
+	delays := make([]int, 32)
+	for i := range delays {
+		delays[i] = i
+	}
+	doc.Axes.BusDelay = delays
+	for _, par := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var got []Line
+		_, err := Run(ctx, doc, Options{Parallelism: par}, func(l Line) error {
+			got = append(got, l)
+			if len(got) == 3 {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallelism %d: err = %v, want context.Canceled", par, err)
+		}
+		if len(got) != 3 {
+			t.Errorf("parallelism %d: %d lines emitted, want 3 (none after cancellation)", par, len(got))
+		}
+		for _, l := range got {
+			if l.Error != "" {
+				t.Errorf("parallelism %d: point %d emitted error %q", par, l.Index, l.Error)
+			}
+		}
 	}
 }
 
