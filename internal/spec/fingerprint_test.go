@@ -1,6 +1,12 @@
 package spec
 
 import (
+	"bytes"
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -174,4 +180,141 @@ func TestFingerprintGolden(t *testing.T) {
 	if got, want := mustFingerprint(t, fpBaseJSON), "spec1-8c5d9b52cf15a2aeb0f4890dc489683b0754c8e07aeff3455efb43f616cddd63"; got != want {
 		t.Errorf("fp-base fingerprint = %s, want %s", got, want)
 	}
+}
+
+// splitEncoding returns the bytes Fingerprint hashes for s: its head
+// and tail encodings, back to back.
+func splitEncoding(t testing.TB, s *Scenario) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := s.encodeHead(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.encodeTail(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// checkSplitEncoding fails unless the head and tail encodings of s
+// compose to exactly json.Marshal(s), the canonical encoding.
+func checkSplitEncoding(t testing.TB, label string, s *Scenario) {
+	t.Helper()
+	want, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := splitEncoding(t, s); !bytes.Equal(got, want) {
+		t.Fatalf("%s: head+tail encoding differs from json.Marshal:\n got  %s\n want %s", label, got, want)
+	}
+}
+
+// TestFingerprintSplitCoversScenario: the head and tail encoders,
+// taken together, declare exactly Scenario's fields — same names,
+// types and json tags, in declaration order — so a field added to
+// Scenario cannot silently miss the fingerprint (keycover audits only
+// the Scenario struct tree).
+func TestFingerprintSplitCoversScenario(t *testing.T) {
+	var split []reflect.StructField
+	for _, part := range []reflect.Type{reflect.TypeFor[scenarioHead](), reflect.TypeFor[scenarioTail]()} {
+		for i := range part.NumField() {
+			split = append(split, part.Field(i))
+		}
+	}
+	want := reflect.TypeFor[Scenario]()
+	if len(split) != want.NumField() {
+		t.Fatalf("head+tail declare %d fields, Scenario %d", len(split), want.NumField())
+	}
+	for i, f := range split {
+		w := want.Field(i)
+		if f.Name != w.Name || f.Type != w.Type || f.Tag != w.Tag {
+			t.Errorf("field %d: split has %s %s `%s`, Scenario has %s %s `%s`", i, f.Name, f.Type, f.Tag, w.Name, w.Type, w.Tag)
+		}
+	}
+}
+
+// TestFingerprintFieldSources: the Scenario methods in fingerprint.go
+// read Scenario fields only as the same-named values of the head and
+// tail literals, each field exactly once, so those two encodings are
+// the fingerprint's only source.
+func TestFingerprintFieldSources(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "fingerprint.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[string]int{}
+	for i := range reflect.TypeFor[Scenario]().NumField() {
+		fields[reflect.TypeFor[Scenario]().Field(i).Name] = 0
+	}
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil {
+			continue
+		}
+		star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+		if !ok || star.X.(*ast.Ident).Name != "Scenario" {
+			t.Fatalf("%s: unexpected receiver in fingerprint.go", fd.Name.Name)
+		}
+		recv := fd.Recv.List[0].Names[0].Name
+		isField := func(e ast.Expr) (string, bool) {
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				return "", false
+			}
+			x, ok := sel.X.(*ast.Ident)
+			if _, field := fields[sel.Sel.Name]; !ok || x.Name != recv || !field {
+				return "", false
+			}
+			return sel.Sel.Name, true
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				if id, ok := lit.Type.(*ast.Ident); ok && (id.Name == "scenarioHead" || id.Name == "scenarioTail") {
+					for _, el := range lit.Elts {
+						kv, ok := el.(*ast.KeyValueExpr)
+						if !ok {
+							t.Fatalf("%s: %s literal is not keyed", fd.Name.Name, id.Name)
+						}
+						key := kv.Key.(*ast.Ident).Name
+						if name, ok := isField(kv.Value); !ok || name != key {
+							t.Errorf("%s: %s.%s is not set from %s.%s", fd.Name.Name, id.Name, key, recv, key)
+						} else {
+							fields[name]++
+						}
+					}
+					return false
+				}
+			}
+			if e, ok := n.(ast.Expr); ok {
+				if name, ok := isField(e); ok {
+					t.Errorf("%s reads %s.%s outside the head and tail literals", fd.Name.Name, recv, name)
+				}
+			}
+			return true
+		})
+	}
+	for name, n := range fields {
+		if n != 1 {
+			t.Errorf("Scenario.%s reaches the head and tail literals %d times, want 1", name, n)
+		}
+	}
+}
+
+// TestFingerprintSplitMatchesMarshal: the composed head and tail are
+// byte-identical to json.Marshal for scenarios that exercise every
+// omitempty field of the split, both present and absent.
+func TestFingerprintSplitMatchesMarshal(t *testing.T) {
+	s, err := Decode([]byte(fpBaseJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSplitEncoding(t, "fp-base", s)
+	s.Name = ""
+	checkSplitEncoding(t, "empty name", s)
+	s.Sim = &SimSpec{MaxCycles: 1000}
+	s.Explore = &ExploreSpec{InitStates: 2, Inputs: []InputSpec{{Task: "countdown", Reg: "r1", Values: []int32{0, 3}}}}
+	checkSplitEncoding(t, "sim and explore", s)
+	s.Tasks = nil
+	checkSplitEncoding(t, "nil tasks", s)
+	checkSplitEncoding(t, "zero scenario", &Scenario{})
 }

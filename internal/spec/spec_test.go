@@ -357,7 +357,9 @@ func TestScenarioString(t *testing.T) {
 }
 
 // FuzzScenarioDecode: any input that decodes must re-encode and decode
-// again to the same value (decode/encode idempotence), and never panic.
+// again to the same value (decode/encode idempotence), its fingerprint's
+// head and tail encodings must compose to its canonical encoding, and
+// decoding must never panic.
 func FuzzScenarioDecode(f *testing.F) {
 	tasks, err := TasksToSpec(workload.Suite()[:2])
 	if err != nil {
@@ -398,5 +400,6 @@ func FuzzScenarioDecode(f *testing.F) {
 		if !reflect.DeepEqual(sc, again) {
 			t.Fatalf("decode/encode not idempotent:\nfirst  %+v\nsecond %+v", sc, again)
 		}
+		checkSplitEncoding(t, "decoded scenario", sc)
 	})
 }

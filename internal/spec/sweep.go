@@ -13,6 +13,8 @@ package spec
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -92,25 +94,33 @@ type sweepAxis struct {
 // SweepPoints enumerates the points of one SweepDoc for one run. It
 // builds the axes once and materializes each taskSets value at most
 // once, on first use; every point of that set shares the same read-only
-// []TaskSpec. It is safe for concurrent use. Its cached task sets go
-// stale if the document is edited, so callers create one per run.
+// []TaskSpec, and the set's fingerprint head is hashed once too. It is
+// safe for concurrent use. Its caches go stale if the document is
+// edited, so callers create one per run.
 type SweepPoints struct {
 	doc  *SweepDoc
 	axes []sweepAxis
 	n    int
+	// sets holds one entry per taskSets value, or a single entry for
+	// the base tasks when the document has no taskSets axis.
 	sets []taskSet
 }
 
-// taskSet is one lazily materialized taskSets value.
+// taskSet is one lazily materialized taskSets value and the sha256
+// midstate of its points' shared {spec,name,tasks} encoding prefix.
 type taskSet struct {
 	once  sync.Once
 	specs []TaskSpec
 	err   error
+
+	headOnce sync.Once
+	head     []byte
+	headErr  error
 }
 
 // Enumerate returns a fresh enumerator over the document's points.
 func (d *SweepDoc) Enumerate() *SweepPoints {
-	e := &SweepPoints{doc: d, n: 1, sets: make([]taskSet, len(d.Axes.TaskSets))}
+	e := &SweepPoints{doc: d, n: 1, sets: make([]taskSet, max(1, len(d.Axes.TaskSets)))}
 	e.axes = d.axes(e.sets)
 	for _, ax := range e.axes {
 		e.n *= ax.size
@@ -277,12 +287,55 @@ func (e *SweepPoints) Point(i int) (*SweepPoint, error) {
 	return pt, nil
 }
 
+// Fingerprint returns pt.Scenario.Fingerprint() for a point that e.Point
+// returned (and so validated). All points of one task set share the
+// canonical encoding's {spec,name,tasks} prefix, so e hashes it once per
+// set and keeps the sha256 midstate; each call restores it and hashes
+// only the point's {system,mode,sim,explore} suffix.
+func (e *SweepPoints) Fingerprint(pt *SweepPoint) (string, error) {
+	if pt.Index < 0 || pt.Index >= e.n {
+		return "", fmt.Errorf("spec: sweep point %d outside [0,%d)", pt.Index, e.n)
+	}
+	ts, tasks := &e.sets[0], e.doc.Base.Tasks
+	if len(e.doc.Axes.TaskSets) > 0 {
+		v := pt.Index / (e.n / len(e.sets)) // the taskSets axis varies slowest
+		ts = &e.sets[v]
+		var err error
+		if tasks, err = ts.taskSpecs(e.doc.Axes.TaskSets[v]); err != nil {
+			return "", err
+		}
+	}
+	if got := pt.Scenario.Tasks; len(got) != len(tasks) || len(got) > 0 && &got[0] != &tasks[0] {
+		return "", fmt.Errorf("spec: sweep point %d (%s) was not enumerated by this SweepPoints", pt.Index, pt.ID)
+	}
+	ts.headOnce.Do(func() {
+		h := sha256.New()
+		if ts.headErr = pt.Scenario.encodeHead(h); ts.headErr == nil {
+			ts.head, ts.headErr = h.(encoding.BinaryMarshaler).MarshalBinary()
+		}
+	})
+	if ts.headErr != nil {
+		return "", ts.headErr
+	}
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(ts.head); err != nil {
+		return "", err
+	}
+	return pt.Scenario.fingerprintTail(h)
+}
+
 // Validate checks the sweep document: schema versions, axis bounds and
 // duplicates, axis/mode compatibility, resolvable task-set names, and —
 // as a cheap early smoke of the base — that point 0 materializes into a
 // valid scenario. Remaining points are validated as they are
-// materialized.
-func (d *SweepDoc) Validate() error {
+// materialized. It checks through a fresh enumerator; see
+// SweepPoints.Validate.
+func (d *SweepDoc) Validate() error { return d.Enumerate().Validate() }
+
+// Validate is SweepDoc.Validate through e, so the task set that point 0
+// materializes stays cached for the run that prices e's points.
+func (e *SweepPoints) Validate() error {
+	d := e.doc
 	if d.Sweep != SweepVersion {
 		return fmt.Errorf("spec: unsupported sweep schema version %d (this build supports \"sweep\": %d)", d.Sweep, SweepVersion)
 	}
@@ -333,7 +386,7 @@ func (d *SweepDoc) Validate() error {
 	if len(d.Axes.TaskSets) == 0 && len(d.Base.Tasks) == 0 {
 		return fmt.Errorf("spec: sweep base has no tasks and no taskSets axis")
 	}
-	if _, err := d.Point(0); err != nil {
+	if _, err := e.Point(0); err != nil {
 		return err
 	}
 	return nil

@@ -1,10 +1,14 @@
 package spec
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"paratime/internal/workload"
 )
 
 // sampleSweep is a three-axis product space over named task sets, bus
@@ -265,8 +269,13 @@ func TestSweepValidateRejects(t *testing.T) {
 		{"no tasks at all", mutate(func(d *SweepDoc) { d.Axes.TaskSets = nil }), "no tasks and no taskSets"},
 	}
 	for _, c := range cases {
-		if err := c.doc.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+		err := c.doc.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: err = %v, want substring %q", c.name, err, c.want)
+		}
+		// The enumerator a run prices with validates identically.
+		if err2 := c.doc.Enumerate().Validate(); err2 == nil || err2.Error() != err.Error() {
+			t.Errorf("%s: SweepPoints.Validate err = %v, SweepDoc.Validate err = %v", c.name, err2, err)
 		}
 	}
 	// busDelay axis under mode "bus" conflicts with arbiter-derived bounds.
@@ -372,9 +381,18 @@ func TestSweepPointsConcurrent(t *testing.T) {
 		}
 		want[i] = pt
 	}
+	wantFP := make([]string, n)
+	for i, pt := range want {
+		fp, err := pt.Scenario.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantFP[i] = fp
+	}
 	pts := d.Enumerate()
 	const workers = 8
 	got := make([][]*SweepPoint, workers)
+	gotFP := make([][]string, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -382,6 +400,7 @@ func TestSweepPointsConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			got[w] = make([]*SweepPoint, n)
+			gotFP[w] = make([]string, n)
 			for k := 0; k < n; k++ {
 				i := (k + w*n/workers) % n // workers start at different sets
 				pt, err := pts.Point(i)
@@ -390,6 +409,10 @@ func TestSweepPointsConcurrent(t *testing.T) {
 					return
 				}
 				got[w][i] = pt
+				if gotFP[w][i], err = pts.Fingerprint(pt); err != nil {
+					errs[w] = err
+					return
+				}
 			}
 		}()
 	}
@@ -401,6 +424,9 @@ func TestSweepPointsConcurrent(t *testing.T) {
 		for i := range want {
 			if !reflect.DeepEqual(got[w][i], want[i]) {
 				t.Fatalf("worker %d point %d differs from SweepDoc.Point", w, i)
+			}
+			if gotFP[w][i] != wantFP[i] {
+				t.Fatalf("worker %d point %d: SweepPoints.Fingerprint %s, Scenario.Fingerprint %s", w, i, gotFP[w][i], wantFP[i])
 			}
 		}
 	}
@@ -447,6 +473,127 @@ func BenchmarkSweepPoints(b *testing.B) {
 		pts := d.Enumerate()
 		for p := 0; p < pts.Points(); p++ {
 			if _, err := pts.Point(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// fingerprintDocs are the sweep shapes the per-set fingerprint must
+// agree with Scenario.Fingerprint on: the CLI's example sweep, the
+// 48-point three-set sweep, a document without a taskSets axis, and
+// bases that exercise the encoding's omitempty fields (no name, a sim
+// block, an explore block).
+func fingerprintDocs(t testing.TB) map[string]*SweepDoc {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "cmd", "paratime", "testdata", "sweep.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := DecodeSweep(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks, err := TasksToSpec(workload.Suite()[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	noSets := sampleSweep()
+	noSets.Base.Tasks = tasks
+	noSets.Axes = SweepAxes{
+		L2:         []CacheSpec{{Sets: 32, Ways: 4, LineBytes: 32, HitLatency: 4}, {Sets: 64, Ways: 8, LineBytes: 32, HitLatency: 6}},
+		MemLatency: []int{25, 90},
+	}
+	unnamed := threeSetSweep()
+	unnamed.Base.Name = ""
+	withSim := sampleSweep()
+	withSim.Base.Sim = &SimSpec{MaxCycles: 1_000_000}
+	withExplore := *noSets
+	withExplore.Base.Explore = &ExploreSpec{InitStates: 2, Inputs: []InputSpec{{Task: tasks[0].Name, Reg: "r1", Values: []int32{0, 1}}}}
+	bus := sampleSweep()
+	bus.Base.Mode = ModeSpec{Kind: KindBus, Bus: &BusSpec{Policy: BusRoundRobin}}
+	bus.Axes.BusDelay = nil
+	bus.Axes.Bus = []BusSpec{{Policy: BusRoundRobin}, {Policy: BusMBBA, Weights: []int{1}}}
+	return map[string]*SweepDoc{
+		"cli": cli, "three-set": threeSetSweep(), "no-taskSets": noSets, "unnamed": unnamed,
+		"sim": withSim, "explore": &withExplore, "bus": bus,
+	}
+}
+
+// TestSweepPointsFingerprint: for every point of every fingerprintDocs
+// sweep, the head and tail encodings compose to json.Marshal of the
+// point's scenario, and SweepPoints.Fingerprint — hashing each set's
+// head once — equals Scenario.Fingerprint.
+func TestSweepPointsFingerprint(t *testing.T) {
+	for name, d := range fingerprintDocs(t) {
+		pts := d.Enumerate()
+		if err := pts.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seen := map[string]int{}
+		for i := 0; i < pts.Points(); i++ {
+			pt, err := pts.Point(i)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			checkSplitEncoding(t, name+" "+pt.ID, pt.Scenario)
+			got, err := pts.Fingerprint(pt)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, pt.ID, err)
+			}
+			want, err := pt.Scenario.Fingerprint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%s %s: SweepPoints.Fingerprint %s, Scenario.Fingerprint %s", name, pt.ID, got, want)
+			}
+			if j, dup := seen[got]; dup {
+				t.Fatalf("%s: points %d and %d share fingerprint %s", name, j, i, got)
+			}
+			seen[got] = i
+		}
+	}
+}
+
+// TestSweepPointsFingerprintForeignPoint: an enumerator fingerprints
+// only its own points. A point from another enumerator carries another
+// copy of its task set, which the cached head was not hashed from.
+func TestSweepPointsFingerprintForeignPoint(t *testing.T) {
+	d := threeSetSweep()
+	pts := d.Enumerate()
+	foreign, err := d.Point(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pts.Fingerprint(foreign); err == nil || !strings.Contains(err.Error(), "not enumerated by this SweepPoints") {
+		t.Errorf("foreign point: err = %v", err)
+	}
+	own, err := pts.Point(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own.Index = pts.Points()
+	if _, err := pts.Fingerprint(own); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Errorf("out-of-range point: err = %v", err)
+	}
+}
+
+// BenchmarkSweepFingerprint materializes and fingerprints every point
+// of the 48-point three-set sweep through one enumerator per iteration,
+// as one sweep run keys its points; the difference from
+// BenchmarkSweepPoints is the fingerprint cost.
+func BenchmarkSweepFingerprint(b *testing.B) {
+	d := threeSetSweep()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pts := d.Enumerate()
+		for p := 0; p < pts.Points(); p++ {
+			pt, err := pts.Point(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pts.Fingerprint(pt); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -131,16 +131,17 @@ func (s *Summary) String() string {
 // line is emitted. Memory is O(parallelism): at most a small window of
 // results is in flight or buffered for reordering at any moment.
 func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) error) (*Summary, error) {
-	if err := doc.Validate(); err != nil {
+	// One enumerator per run: each task set is materialized, and its
+	// fingerprint head hashed, once and shared by every point that uses
+	// it, starting with the set that validation materializes.
+	pts := doc.Enumerate()
+	if err := pts.Validate(); err != nil {
 		return nil, err
 	}
 	eng := opt.Engine
 	if eng == nil {
 		eng = engine.New(0)
 	}
-	// One enumerator per run: each task set is materialized once and
-	// shared by every point that uses it.
-	pts := doc.Enumerate()
 	workers := parallel.Resolve(opt.Parallelism)
 	n := pts.Points()
 	if workers > n {
@@ -293,7 +294,7 @@ func price(ctx context.Context, pts *spec.SweepPoints, idx int, eng *engine.Engi
 		return Line{Index: idx, Error: err.Error()}
 	}
 	line := Line{Index: idx, ID: pt.ID, Coords: pt.Coords}
-	fp, err := pt.Scenario.Fingerprint()
+	fp, err := pts.Fingerprint(pt)
 	if err != nil {
 		line.Error = err.Error()
 		return line
