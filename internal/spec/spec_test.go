@@ -125,7 +125,9 @@ func TestDecodeAllArray(t *testing.T) {
 }
 
 // TestValidationRejections: every impossible configuration is rejected
-// at decode time with an error mentioning the offending field.
+// at decode time with an error mentioning the offending field. The mode
+// rows (kind, payloads, L2 need, sim and explore support) pin the whole
+// message, so the lists of kinds the errors name cannot drift.
 func TestValidationRejections(t *testing.T) {
 	base := func() *Scenario {
 		ts, err := TasksToSpec(workload.Suite()[:2])
@@ -148,16 +150,16 @@ func TestValidationRejections(t *testing.T) {
 		{"bad opcode", func(s *Scenario) { s.Tasks[0].Program.Insts[0].Op = "frobnicate" }, "unknown opcode"},
 		{"zero bound", func(s *Scenario) { s.Tasks[0].Bounds = map[string]int{"loop": 0} }, "positive"},
 		{"bypass outside joint", func(s *Scenario) { s.Tasks[0].Bypass = true }, "bypass"},
-		{"unknown kind", func(s *Scenario) { s.Mode.Kind = "quantum" }, "unknown mode kind"},
+		{"unknown kind", func(s *Scenario) { s.Mode.Kind = "quantum" }, `spec: unknown mode kind "quantum" (known: [bus joint lock partition pret smt solo])`},
 		{"stray payload", func(s *Scenario) { s.Mode.SMT = &SMTSpec{Threads: 2, FULatency: 1, MemLatency: 1} },
-			`does not take a "smt" payload`},
-		{"joint without L2", func(s *Scenario) { s.Mode.Kind = KindJoint; s.System.L2 = nil }, "needs a shared L2"},
+			`spec: mode "solo" does not take a "smt" payload`},
+		{"joint without L2", func(s *Scenario) { s.Mode.Kind = KindJoint; s.System.L2 = nil }, `spec: mode "joint" needs a shared L2; add system.l2`},
 		{"unknown model", func(s *Scenario) { s.Mode.Kind = KindJoint; s.Mode.Model = "psychic" }, "conflict model"},
 		{"lifetime dep range", func(s *Scenario) {
 			s.Mode.Kind = KindJoint
 			s.Mode.Lifetimes = []LifetimeSpec{{Deps: []int{7}}, {}}
 		}, "outside"},
-		{"partition without payload", func(s *Scenario) { s.Mode.Kind = KindPartition }, "needs a partition payload"},
+		{"partition without payload", func(s *Scenario) { s.Mode.Kind = KindPartition }, `spec: mode "partition" needs a partition payload`},
 		{"bad partition scheme", func(s *Scenario) {
 			s.Mode.Kind = KindPartition
 			s.Mode.Partition = &PartitionSpec{Scheme: "diagonal"}
@@ -174,7 +176,7 @@ func TestValidationRejections(t *testing.T) {
 			s.Mode.Kind = KindBus
 			s.Mode.Bus = &BusSpec{Policy: BusRoundRobin}
 			s.System.BusDelay = 3
-		}, "busDelay"},
+		}, `spec: mode "bus" derives per-core bus bounds from the arbiter; remove system.busDelay`},
 		{"tdma slot too short", func(s *Scenario) {
 			s.Mode.Kind = KindBus
 			s.Mode.Bus = &BusSpec{Policy: BusTDMA, Latency: 6,
@@ -200,13 +202,18 @@ func TestValidationRejections(t *testing.T) {
 			s.Mode.Kind = KindLock
 			s.Mode.Lock = &LockSpec{Policy: LockStatic, BudgetLines: 4}
 			s.Sim = &SimSpec{}
-		}, "sim validation"},
+		}, `spec: sim validation is not supported in mode "lock"; remove the sim block`},
 		{"bad cache geometry", func(s *Scenario) { s.System.L1I.Sets = 3 }, "powers of two"},
 		{"explore in smt mode", func(s *Scenario) {
 			s.Mode.Kind = KindSMT
 			s.Mode.SMT = &SMTSpec{Threads: 4, FULatency: 2, MemLatency: 10}
 			s.Explore = &ExploreSpec{}
-		}, "explore is not supported"},
+		}, `spec: explore is not supported in mode "smt" (supported: "solo", "joint", "partition", "bus")`},
+		{"explore in pret mode", func(s *Scenario) {
+			s.Mode.Kind = KindPRET
+			s.Mode.PRET = &PretSpec{Threads: 6, WheelWindow: 20, MemLatency: 20}
+			s.Explore = &ExploreSpec{}
+		}, `spec: explore is not supported in mode "pret" (supported: "solo", "joint", "partition", "bus")`},
 		{"explore unknown task", func(s *Scenario) {
 			s.Explore = &ExploreSpec{Inputs: []InputSpec{{Task: "ghost", Reg: "r1", Values: []int32{0}}}}
 		}, "unknown task"},
