@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -103,5 +104,57 @@ func TestExportUnknownAndInexpressible(t *testing.T) {
 	}
 	if _, err := Export("e17"); err == nil {
 		t.Error("inexpressible experiment accepted")
+	}
+}
+
+// knownUnsound names exported scenarios whose simulated machine does not
+// yet match the regime the analysis assumes. e6-joint-lifetimes refines
+// its bounds by the task schedule, but its co-run machine starts every
+// task at cycle 0 and ignores the schedule (ROADMAP item 1).
+var knownUnsound = map[string]bool{"e6-joint-lifetimes": true}
+
+// TestExportSandwich: every exported scenario, given the sim and explore
+// blocks its mode accepts, keeps its bounds above what the machine does:
+// each simulated core is sound and each exact worst is at most the WCET.
+// A known-unsound entry must still be unsound, so the list cannot go
+// stale silently.
+func TestExportSandwich(t *testing.T) {
+	scs, err := ExportAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range scs {
+		if sc.Sim == nil {
+			sc.Sim = &spec.SimSpec{}
+			if sc.Validate() != nil {
+				sc.Sim = nil
+			}
+		}
+		if sc.Explore == nil {
+			sc.Explore = &spec.ExploreSpec{InitStates: 4}
+			if sc.Validate() != nil {
+				sc.Explore = nil
+			}
+		}
+		if sc.Sim == nil && sc.Explore == nil {
+			continue
+		}
+		rep, err := spec.Run(context.Background(), sc, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		sound := true
+		for _, s := range rep.Sim {
+			sound = sound && s.Sound
+		}
+		for _, task := range rep.Tasks {
+			sound = sound && task.ExactWorst <= task.WCET
+		}
+		switch {
+		case knownUnsound[sc.Name] && sound:
+			t.Errorf("%s: listed as known-unsound but now sound; drop it from knownUnsound", sc.Name)
+		case !knownUnsound[sc.Name] && !sound:
+			t.Errorf("%s: bound below the machine: sim %+v tasks %+v", sc.Name, rep.Sim, rep.Tasks)
+		}
 	}
 }

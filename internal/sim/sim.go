@@ -61,10 +61,12 @@ type System struct {
 	// otherwise each core gets a private L2 (its partition).
 	SharedL2 bool
 	// Bus arbitrates the path from the L1s to L2/memory; nil = private
-	// path per core (no contention, zero wait). Run opens one session
+	// path per core, memory device included (no contention, zero wait,
+	// no bank or row interference between cores). Run opens one session
 	// of it per call.
 	Bus arbiter.Arbiter
-	// Mem is the memory device configuration.
+	// Mem is the memory device configuration: one controller behind the
+	// bus, or one per core when Bus is nil.
 	Mem memctrl.Config
 }
 
@@ -324,7 +326,16 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 	if len(sys.Cores) == 0 {
 		return nil, fmt.Errorf("sim: no cores")
 	}
-	ctrl := memctrl.New(sys.Mem)
+	// Cores behind a bus share one memory controller; without an
+	// arbiter each core has a private path down to its own device.
+	ctrls := make([]*memctrl.Controller, len(sys.Cores))
+	for i := range ctrls {
+		if sys.Bus != nil && i > 0 {
+			ctrls[i] = ctrls[0]
+		} else {
+			ctrls[i] = memctrl.New(sys.Mem)
+		}
+	}
 	var bus arbiter.Session
 	if sys.Bus != nil {
 		bus = sys.Bus.NewSession()
@@ -413,10 +424,10 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 				done = afterL2
 			} else {
 				r.stats.L2Misses++
-				done = ctrl.Access(need.addr, afterL2)
+				done = ctrls[sel].Access(need.addr, afterL2)
 			}
 		} else {
-			done = ctrl.Access(need.addr, grant)
+			done = ctrls[sel].Access(need.addr, grant)
 		}
 		r.resume(need, done)
 		next, err := r.run(&sys)

@@ -432,6 +432,30 @@ func TestPerCoreL2Override(t *testing.T) {
 	}
 }
 
+// TestPrivatePathsWithoutArbiter: with no bus and private L2s, nothing
+// is shared down to the memory device, so every co-running core takes
+// exactly as long as it does alone.
+func TestPrivatePathsWithoutArbiter(t *testing.T) {
+	names := []string{"memwalk", "scalar", "memwalk", "nested"}
+	var cores []CoreConfig
+	for i, name := range names {
+		cores = append(cores, simCore(fmt.Sprintf("c%d", i), prog(t, name)))
+	}
+	coRun, err := Run(System{Cores: cores, L2: ptr(l2()), Mem: testMemCfg()}, 10_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cc := range cores {
+		alone, err := Run(System{Cores: []CoreConfig{cc}, L2: ptr(l2()), Mem: testMemCfg()}, 10_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coRun.Cycles(i) != alone.Cycles(0) {
+			t.Errorf("core %d (%s): %d cycles co-running, %d alone", i, names[i], coRun.Cycles(i), alone.Cycles(0))
+		}
+	}
+}
+
 // TestInitRegsSeedState: InitRegs must change architectural behavior
 // exactly like pre-seeded registers in the reference executor, ignore
 // the hardwired r0, and leave the zero-value config untouched.

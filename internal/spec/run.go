@@ -183,12 +183,49 @@ func orDash(s string) string {
 	return s
 }
 
+// mode is one row of the mode table. Payload checks and the String
+// suffix stay switches in validateMode and String.
+type mode struct {
+	kind     string
+	payloads []string // the ModeSpec payload names the kind takes
+	needsL2  bool
+	// run analyzes the tasks under the regime and fills rep.Tasks.
+	run func(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error
+	// machines builds the simulated machines sim and explore run on,
+	// under the sharing regime the analysis assumed; nil if none.
+	machines func(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error)
+	ownSim   bool // run checks the bounds on the mode's own simulator
+}
+
+// modes is the mode table, one row per kind and the only list of
+// kinds. Its order is the order error messages list supported kinds in.
+// Row functions must not refer to modes (an initialization cycle).
+var modes = []mode{
+	{kind: KindSolo, run: runSolo, machines: soloMachines},
+	{kind: KindJoint, payloads: []string{"model", "lifetimes"}, needsL2: true, run: runJoint, machines: jointMachines},
+	{kind: KindPartition, payloads: []string{"partition"}, needsL2: true, run: runPartition, machines: partitionMachines},
+	{kind: KindLock, payloads: []string{"lock"}, needsL2: true, run: runLock},
+	{kind: KindBus, payloads: []string{"bus"}, run: runBus, machines: busMachines},
+	{kind: KindSMT, payloads: []string{"smt"}, run: runSMT, ownSim: true},
+	{kind: KindPRET, payloads: []string{"pret"}, run: runPret, ownSim: true},
+}
+
+// modeOf returns the table row of kind, or nil for an unknown kind.
+func modeOf(kind string) *mode {
+	for i := range modes {
+		if modes[i].kind == kind {
+			return &modes[i]
+		}
+	}
+	return nil
+}
+
 // Run executes a validated scenario: it materializes tasks and system,
-// dispatches to the analysis machinery selected by the mode (through the
-// batch engine's worker pool and memo cache), optionally cross-checks
-// the bounds in simulation and by exhaustive exploration on the mode's
-// simulated machines, and assembles a Report. A nil engine gets a
-// private one. Cancelling ctx makes Run return promptly with ctx.Err().
+// runs the mode's analysis (through the batch engine's worker pool and
+// memo cache), optionally cross-checks the bounds in simulation and by
+// exhaustive exploration on the mode's simulated machines, and
+// assembles a Report. A nil engine gets a private one. Cancelling ctx
+// makes Run return promptly with ctx.Err().
 func Run(ctx context.Context, s *Scenario, eng *engine.Engine) (*Report, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -211,36 +248,19 @@ func Run(ctx context.Context, s *Scenario, eng *engine.Engine) (*Report, error) 
 	if err != nil {
 		return nil, err
 	}
+	m := modeOf(s.Mode.Kind)
 	rep := &Report{Spec: Version, Scenario: s.Name, Mode: s.Mode.Kind}
-	switch s.Mode.Kind {
-	case KindSolo:
-		err = runSolo(ctx, eng, tasks, sys, rep)
-	case KindJoint:
-		err = runJoint(ctx, s, eng, tasks, sys, rep)
-	case KindPartition:
-		err = runPartition(ctx, s, eng, tasks, sys, rep)
-	case KindLock:
-		err = runLock(ctx, s, tasks, sys, rep)
-	case KindBus:
-		err = runBus(ctx, s, eng, tasks, sys, rep)
-	case KindSMT:
-		err = runSMT(ctx, s, eng, tasks, rep)
-	case KindPRET:
-		err = runPret(ctx, s, eng, tasks, rep)
-	default:
-		err = fmt.Errorf("spec: unknown mode kind %q", s.Mode.Kind)
-	}
-	if err != nil {
+	if err := m.run(ctx, s, eng, tasks, sys, rep); err != nil {
 		return nil, err
 	}
-	if s.Sim == nil && s.Explore == nil {
+	if m.machines == nil || (s.Sim == nil && s.Explore == nil) {
 		return rep, nil
 	}
-	ms, err := machines(s, tasks, sys, s.System.MemConfig())
+	ms, err := m.machines(s, tasks, sys, s.System.MemConfig())
 	if err != nil {
 		return nil, err
 	}
-	if s.Sim != nil && len(ms) > 0 {
+	if s.Sim != nil {
 		if err := runSim(ctx, s, eng, ms, rep); err != nil {
 			return nil, err
 		}
@@ -263,45 +283,51 @@ type machine struct {
 	task []int
 }
 
-// machines builds the simulated machines that validate a scenario's
-// bounds; the sim check and the explorer both run on them. Mode solo
-// gives each task a machine of its own; joint, partition and bus co-run
-// every task on one machine, core i running task i, under the sharing
-// regime the analysis assumed. Lock has no simulated machine, and SMT
-// and PRET validate on their own simulators.
-func machines(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error) {
-	var coRun sim.System
-	switch s.Mode.Kind {
-	case KindSolo:
-		ms := make([]machine, len(tasks))
-		for i := range tasks {
-			ms[i] = machine{sim.FromConfig(sys, mem, nil, false, tasks[i]), []int{i}}
-		}
-		return ms, nil
-	case KindJoint:
-		coRun = sim.FromConfig(sys, mem, nil, true, tasks...)
-	case KindPartition:
-		// Each core is confined to a private view of its partition — the
-		// isolation the partitioned analysis assumes.
-		view, err := partitionView(s, sys, len(tasks))
-		if err != nil {
-			return nil, err
-		}
-		views := make([]*cache.Config, len(tasks))
-		for i := range views {
-			views[i] = &view
-		}
-		coRun = sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views)
-	case KindBus:
-		coRun = sim.FromConfig(sys, mem, buildArbiter(s), false, tasks...)
-	default:
-		return nil, nil
+// soloMachines gives each task a machine of its own.
+func soloMachines(_ *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error) {
+	ms := make([]machine, len(tasks))
+	for i := range tasks {
+		ms[i] = machine{sim.FromConfig(sys, mem, nil, false, tasks[i]), []int{i}}
 	}
-	task := make([]int, len(tasks))
+	return ms, nil
+}
+
+// jointMachines co-runs every task over one shared L2. Without an
+// arbiter each core keeps a private memory path, as the joint analysis
+// assumes: it bounds cache interference only.
+func jointMachines(_ *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error) {
+	return coRun(sim.FromConfig(sys, mem, nil, true, tasks...)), nil
+}
+
+// partitionMachines co-runs every task, each core confined to a private
+// view of its partition — the isolation the partitioned analysis
+// assumes.
+func partitionMachines(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error) {
+	view, err := partitionView(s, sys, len(tasks))
+	if err != nil {
+		return nil, err
+	}
+	views := make([]*cache.Config, len(tasks))
+	for i := range views {
+		views[i] = &view
+	}
+	return coRun(sim.FromConfigPerCoreL2(sys, mem, nil, tasks, views)), nil
+}
+
+// busMachines co-runs every task behind the scenario's arbiter and one
+// shared memory controller.
+func busMachines(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error) {
+	return coRun(sim.FromConfig(sys, mem, buildArbiter(s), false, tasks...)), nil
+}
+
+// coRun wraps a co-run system as the one machine of a scenario, core i
+// running task i.
+func coRun(sys sim.System) []machine {
+	task := make([]int, len(sys.Cores))
 	for i := range task {
 		task[i] = i
 	}
-	return []machine{{coRun, task}}, nil
+	return []machine{{sys, task}}
 }
 
 // runSim simulates every machine and fills rep.Sim in task order.
@@ -395,13 +421,19 @@ func simLimit(s *Scenario, fallback int64) int64 {
 	return fallback
 }
 
-func runSolo(ctx context.Context, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
-	as, err := eng.AnalyzeAll(ctx, engine.Requests(tasks, sys))
+func runSolo(ctx context.Context, _ *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
+	return analyzeAll(ctx, eng, engine.Requests(tasks, sys), rep)
+}
+
+// analyzeAll analyzes every request through the engine and reports each
+// task's WCET and cache classes.
+func analyzeAll(ctx context.Context, eng *engine.Engine, reqs []engine.Request, rep *Report) error {
+	as, err := eng.AnalyzeAll(ctx, reqs)
 	if err != nil {
 		return err
 	}
 	for i, a := range as {
-		rep.Tasks = append(rep.Tasks, TaskReport{Name: tasks[i].Name, WCET: a.WCET, Classes: a.ClassSummary()})
+		rep.Tasks = append(rep.Tasks, TaskReport{Name: reqs[i].Task.Name, WCET: a.WCET, Classes: a.ClassSummary()})
 	}
 	return nil
 }
@@ -488,24 +520,17 @@ func partitionView(s *Scenario, sys core.SystemConfig, nTasks int) (cache.Config
 	return view, nil
 }
 
+// runPartition is solo on the partition view of the L2.
 func runPartition(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
 	view, err := partitionView(s, sys, len(tasks))
 	if err != nil {
 		return err
 	}
-	sysP := sys
-	sysP.Mem.L2 = &view
-	as, err := eng.AnalyzeAll(ctx, engine.Requests(tasks, sysP))
-	if err != nil {
-		return err
-	}
-	for i, a := range as {
-		rep.Tasks = append(rep.Tasks, TaskReport{Name: tasks[i].Name, WCET: a.WCET, Classes: a.ClassSummary()})
-	}
-	return nil
+	sys.Mem.L2 = &view
+	return runSolo(ctx, s, eng, tasks, sys, rep)
 }
 
-func runLock(ctx context.Context, s *Scenario, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
+func runLock(ctx context.Context, s *Scenario, _ *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
 	l := s.Mode.Lock
 	for _, t := range tasks {
 		if err := ctx.Err(); err != nil {
@@ -557,64 +582,51 @@ func runBus(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.T
 		sysI.Mem.BusDelay = arb.Bound(i)
 		reqs[i] = engine.Request{Task: t, Sys: sysI}
 	}
-	as, err := eng.AnalyzeAll(ctx, reqs)
-	if err != nil {
+	if err := analyzeAll(ctx, eng, reqs, rep); err != nil {
 		return err
 	}
-	for i, a := range as {
-		rep.Tasks = append(rep.Tasks, TaskReport{
-			Name: tasks[i].Name, WCET: a.WCET, BusBound: arb.Bound(i), Classes: a.ClassSummary(),
-		})
+	for i := range rep.Tasks {
+		rep.Tasks[i].BusBound = arb.Bound(i)
 	}
 	return nil
 }
 
-func runSMT(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, rep *Report) error {
+func runSMT(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, _ core.SystemConfig, rep *Report) error {
 	cfg := smt.BarreConfig{Threads: s.Mode.SMT.Threads, FULatency: s.Mode.SMT.FULatency, MemLatency: s.Mode.SMT.MemLatency}
-	bounds := make([]int64, len(tasks))
-	err := parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
-		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
-		bounds[i] = b
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	for i, t := range tasks {
-		rep.Tasks = append(rep.Tasks, TaskReport{Name: t.Name, WCET: bounds[i]})
-	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	times, err := cfg.SimulateBarre(progsOf(tasks), uint64(simLimit(s, defaultSMTSteps)))
-	if err != nil {
-		return err
-	}
-	for i, t := range rep.Tasks {
-		rep.Sim = append(rep.Sim, SimReport{Name: t.Name, Cycles: times[i], Sound: t.WCET >= times[i]})
-	}
-	return nil
+	bound := func(i int) (int64, error) { return cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts) }
+	return runThreads(ctx, s, eng, tasks, rep, bound, cfg.SimulateBarre, defaultSMTSteps)
 }
 
-func runPret(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, rep *Report) error {
+func runPret(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, _ core.SystemConfig, rep *Report) error {
 	cfg := smt.PretConfig{Threads: s.Mode.PRET.Threads, WheelWindow: s.Mode.PRET.WheelWindow, MemLatency: s.Mode.PRET.MemLatency}
-	bounds := make([]int64, len(tasks))
-	err := parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
+	bound := func(i int) (int64, error) {
 		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
 		// Thread i's first pipeline slot arrives at cycle i, so its
 		// completion time includes that fixed phase offset on top of the
 		// phase-independent per-thread bound.
-		bounds[i] = b + int64(i)
+		return b + int64(i), err
+	}
+	return runThreads(ctx, s, eng, tasks, rep, bound, cfg.SimulatePret, defaultPretSteps)
+}
+
+// runThreads reports the per-thread bounds of a multithreaded core,
+// computed in parallel by bound, and with a sim block checks them on
+// the core's own simulator.
+func runThreads(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, rep *Report,
+	bound func(i int) (int64, error), simulate func([]*isa.Program, uint64) ([]int64, error), steps int64) error {
+	bounds := make([]int64, len(tasks))
+	err := parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
+		var err error
+		bounds[i], err = bound(i)
 		return err
 	})
 	if err != nil {
 		return err
 	}
+	progs := make([]*isa.Program, len(tasks))
 	for i, t := range tasks {
 		rep.Tasks = append(rep.Tasks, TaskReport{Name: t.Name, WCET: bounds[i]})
+		progs[i] = t.Prog
 	}
 	if s.Sim == nil {
 		return nil
@@ -622,7 +634,7 @@ func runPret(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	times, err := cfg.SimulatePret(progsOf(tasks), uint64(simLimit(s, defaultPretSteps)))
+	times, err := simulate(progs, uint64(simLimit(s, steps)))
 	if err != nil {
 		return err
 	}
@@ -630,12 +642,4 @@ func runPret(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.
 		rep.Sim = append(rep.Sim, SimReport{Name: t.Name, Cycles: times[i], Sound: t.WCET >= times[i]})
 	}
 	return nil
-}
-
-func progsOf(tasks []core.Task) []*isa.Program {
-	out := make([]*isa.Program, len(tasks))
-	for i, t := range tasks {
-		out[i] = t.Prog
-	}
-	return out
 }

@@ -394,7 +394,7 @@ func TestRunExploreWitnessRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := machines(sc, tasks, sys, sc.System.MemConfig())
+	ms, err := modeOf(sc.Mode.Kind).machines(sc, tasks, sys, sc.System.MemConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

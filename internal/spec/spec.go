@@ -19,7 +19,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"paratime/internal/isa"
 )
@@ -318,11 +321,15 @@ func (s *Scenario) validateExplore() error {
 	if e == nil {
 		return nil
 	}
-	switch s.Mode.Kind {
-	case KindSolo, KindJoint, KindPartition, KindBus:
-	default:
-		return fmt.Errorf("spec: explore is not supported in mode %q (supported: %q, %q, %q, %q)",
-			s.Mode.Kind, KindSolo, KindJoint, KindPartition, KindBus)
+	if m := modeOf(s.Mode.Kind); m == nil || m.machines == nil {
+		var supported []string
+		for _, r := range modes {
+			if r.machines != nil {
+				supported = append(supported, strconv.Quote(r.kind))
+			}
+		}
+		return fmt.Errorf("spec: explore is not supported in mode %q (supported: %s)",
+			s.Mode.Kind, strings.Join(supported, ", "))
 	}
 	if e.MaxBranchDecisions < 0 || e.MaxBranchDecisions > maxExploreBranchDecisions {
 		return fmt.Errorf("spec: explore maxBranchDecisions %d outside [0,%d]", e.MaxBranchDecisions, maxExploreBranchDecisions)
@@ -595,41 +602,22 @@ func (s *Scenario) validateMode() error {
 		{"smt", m.SMT != nil},
 		{"pret", m.PRET != nil},
 	}
-	allowed := map[string][]string{
-		KindSolo:      {},
-		KindJoint:     {"model", "lifetimes"},
-		KindPartition: {"partition"},
-		KindLock:      {"lock"},
-		KindBus:       {"bus"},
-		KindSMT:       {"smt"},
-		KindPRET:      {"pret"},
-	}
-	ok, known := allowed[m.Kind]
-	if !known {
-		kinds := make([]string, 0, len(allowed))
-		for k := range allowed {
-			kinds = append(kinds, k)
+	row := modeOf(m.Kind)
+	if row == nil {
+		kinds := make([]string, len(modes))
+		for i, r := range modes {
+			kinds[i] = r.kind
 		}
 		sort.Strings(kinds)
 		return fmt.Errorf("spec: unknown mode kind %q (known: %v)", m.Kind, kinds)
 	}
 	for _, p := range payloads {
-		if !p.set {
-			continue
-		}
-		legal := false
-		for _, a := range ok {
-			if a == p.name {
-				legal = true
-			}
-		}
-		if !legal {
+		if p.set && !slices.Contains(row.payloads, p.name) {
 			return fmt.Errorf("spec: mode %q does not take a %q payload", m.Kind, p.name)
 		}
 	}
 
-	needsL2 := m.Kind == KindJoint || m.Kind == KindPartition || m.Kind == KindLock
-	if needsL2 && s.System.L2 == nil {
+	if row.needsL2 && s.System.L2 == nil {
 		return fmt.Errorf("spec: mode %q needs a shared L2; add system.l2", m.Kind)
 	}
 	if m.Kind == KindBus && s.System.BusDelay != 0 {
@@ -781,12 +769,10 @@ func (s *Scenario) validateSim() error {
 	if s.Sim.MaxCycles < 0 {
 		return fmt.Errorf("spec: negative sim maxCycles")
 	}
-	switch s.Mode.Kind {
-	case KindSolo, KindJoint, KindPartition, KindBus, KindSMT, KindPRET:
-		return nil
-	default:
+	if m := modeOf(s.Mode.Kind); m == nil || (m.machines == nil && !m.ownSim) {
 		return fmt.Errorf("spec: sim validation is not supported in mode %q; remove the sim block", s.Mode.Kind)
 	}
+	return nil
 }
 
 // Conflict model names.

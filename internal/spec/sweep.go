@@ -400,7 +400,7 @@ func (e *SweepPoints) Validate() error {
 func (d *SweepDoc) validateAxisValues() error {
 	seenStr := map[string]bool{}
 	for i, name := range d.Axes.TaskSets {
-		if _, err := workload.Set(name); err != nil {
+		if err := workload.CheckSet(name); err != nil {
 			return fmt.Errorf("spec: sweep taskSets[%d]: %w", i, err)
 		}
 		if seenStr[name] {

@@ -85,3 +85,15 @@ func TestSetUnknown(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckSetMatchesSet: CheckSet accepts exactly the names Set
+// resolves and fails with Set's error text.
+func TestCheckSetMatchesSet(t *testing.T) {
+	for _, name := range []string{"suite", "fib24", "fib24+crc16", "nosuch", "fib24+nosuch", "suite+fib24", ""} {
+		_, setErr := Set(name)
+		checkErr := CheckSet(name)
+		if (setErr == nil) != (checkErr == nil) || (setErr != nil && setErr.Error() != checkErr.Error()) {
+			t.Errorf("%q: Set error %v, CheckSet error %v", name, setErr, checkErr)
+		}
+	}
+}

@@ -329,17 +329,41 @@ func Set(name string) ([]core.Task, error) {
 	if name == "suite" {
 		return Suite(), nil
 	}
+	builds, err := resolveSet(name)
+	if err != nil {
+		return nil, err
+	}
+	tasks := make([]core.Task, len(builds))
+	for i, build := range builds {
+		tasks[i] = build(Slot(i))
+	}
+	return tasks, nil
+}
+
+// CheckSet reports whether Set would resolve name, with Set's error,
+// without assembling any program.
+func CheckSet(name string) error {
+	if name == "suite" {
+		return nil
+	}
+	_, err := resolveSet(name)
+	return err
+}
+
+// resolveSet maps a "+"-joined task-set name (not "suite") to the
+// builders of its components, in list order.
+func resolveSet(name string) ([]func(at Bases) core.Task, error) {
 	parts := strings.Split(name, "+")
-	tasks := make([]core.Task, len(parts))
+	builds := make([]func(at Bases) core.Task, len(parts))
 	for i, part := range parts {
 		build, ok := singles[part]
 		if !ok {
 			return nil, fmt.Errorf("workload: unknown task set %q (component %q; known: %s, joined with \"+\")",
 				name, part, strings.Join(SetNames(), " "))
 		}
-		tasks[i] = build(Slot(i))
+		builds[i] = build
 	}
-	return tasks, nil
+	return builds, nil
 }
 
 // Random returns a seeded random structured program: a loop nest of
