@@ -21,10 +21,57 @@ const maxPivots = 1_000_000
 // exact int64-rational values, plus the right-hand side. Columns are
 // laid out structural-first, then slacks, then artificials — the same
 // layout as the retired dense oracle, so pivot choices coincide.
+//
+// Entry k is num[k]/den[k]. den is nil while every entry is an integer,
+// which IPET rows stay throughout, so such an entry takes 12 bytes with
+// its column instead of 20; phase 1's fill-in is most of what a solve
+// allocates and holds. A row that takes a fractional entry gets den and
+// keeps it.
 type srow struct {
 	col []int32
-	val []rat64
+	num []int64
+	den []int64
 	rhs rat64
+}
+
+// get returns entry k.
+func (r *srow) get(k int) rat64 {
+	if r.den == nil {
+		return rat64{r.num[k], 1}
+	}
+	return rat64{r.num[k], r.den[k]}
+}
+
+// set overwrites entry k.
+func (r *srow) set(k int, v rat64) {
+	if v.d != 1 && r.den == nil {
+		r.den = appendOnes(make([]int64, 0, cap(r.num)), len(r.num))
+	}
+	r.num[k] = v.n
+	if r.den != nil {
+		r.den[k] = v.d
+	}
+}
+
+// push appends entry v in column c, which must lie right of every
+// column the row holds.
+func (r *srow) push(c int32, v rat64) {
+	if v.d != 1 && r.den == nil {
+		r.den = appendOnes(make([]int64, 0, cap(r.num)), len(r.num))
+	}
+	r.col = append(r.col, c)
+	r.num = append(r.num, v.n)
+	if r.den != nil {
+		r.den = append(r.den, v.d)
+	}
+}
+
+// truncate keeps the first n entries.
+func (r *srow) truncate(n int) {
+	r.col, r.num = r.col[:n], r.num[:n]
+	if r.den != nil {
+		r.den = r.den[:n]
+	}
 }
 
 // at returns the value in column c (zero when absent). Most rows are
@@ -35,13 +82,13 @@ func (r *srow) at(c int32) rat64 {
 		return r64Zero
 	}
 	if i, ok := slices.BinarySearch(r.col, c); ok {
-		return r.val[i]
+		return r.get(i)
 	}
 	return r64Zero
 }
 
 func (r *srow) clone() srow {
-	return srow{col: slices.Clone(r.col), val: slices.Clone(r.val), rhs: r.rhs}
+	return srow{col: slices.Clone(r.col), num: slices.Clone(r.num), den: slices.Clone(r.den), rhs: r.rhs}
 }
 
 // Reuse caches the feasible post-phase-1 tableau of one structural
@@ -112,9 +159,11 @@ type work struct {
 	pivots int // accumulated across phases and B&B nodes
 	widest int // longest constraint row a pivot has written; tests check their models fill in
 
-	// merge scratch of subMul.
+	// merge scratch of subMul; sden is used only while the merged row
+	// has a fractional entry.
 	scol []int32
-	sval []rat64
+	snum []int64
+	sden []int64
 
 	// The entering column as gathered by column: the rows holding a
 	// nonzero entry, ascending, and those entries.
@@ -161,36 +210,53 @@ func gallop(col []int32, lo int, c int32) int {
 // before it with one bulk append; arithmetic runs only on src's entries.
 // Returns errOverflow when any product or sum leaves int64.
 func (t *ftab) subMul(dst, src *srow, f rat64) error {
-	cols, vals := t.w.scol[:0], t.w.sval[:0]
+	w := t.w
+	cols, nums, dens := w.scol[:0], w.snum[:0], w.sden[:0]
+	// dens is filled only while frac is set: from the start when dst
+	// has denominators, else from the first fractional entry on.
+	frac := dst.den != nil
 	i := 0
 	for j, c := range src.col {
 		k := gallop(dst.col, i, c)
 		cols = append(cols, dst.col[i:k]...)
-		vals = append(vals, dst.val[i:k]...)
-		fv, ok := f.mul(src.val[j])
+		nums = append(nums, dst.num[i:k]...)
+		if frac {
+			dens = appendDen(dens, dst, i, k)
+		}
+		fv, ok := f.mul(src.get(j))
 		if !ok {
 			return errOverflow
 		}
+		var v rat64
 		if k < len(dst.col) && dst.col[k] == c {
-			nv, ok := dst.val[k].sub(fv)
-			if !ok {
+			if v, ok = dst.get(k).sub(fv); !ok {
 				return errOverflow
 			}
-			if nv.n != 0 {
-				cols = append(cols, c)
-				vals = append(vals, nv)
-			}
 			i = k + 1
+			if v.n == 0 {
+				continue
+			}
 		} else {
 			// Fill-in. fv is nonzero as a product of nonzeros, and mul
 			// never returns a MinInt64 numerator, so negating it is exact.
-			cols = append(cols, c)
-			vals = append(vals, rat64{-fv.n, fv.d})
+			v = rat64{-fv.n, fv.d}
 			i = k
+		}
+		if v.d != 1 && !frac {
+			frac = true
+			dens = appendOnes(dens, len(nums))
+		}
+		cols = append(cols, c)
+		nums = append(nums, v.n)
+		if frac {
+			dens = append(dens, v.d)
 		}
 	}
 	cols = append(cols, dst.col[i:]...)
-	vals = append(vals, dst.val[i:]...)
+	nums = append(nums, dst.num[i:]...)
+	if frac {
+		dens = appendDen(dens, dst, i, len(dst.col))
+	}
 	fr, ok := f.mul(src.rhs)
 	if !ok {
 		return errOverflow
@@ -199,9 +265,28 @@ func (t *ftab) subMul(dst, src *srow, f rat64) error {
 		return errOverflow
 	}
 	dst.col = append(dst.col[:0], cols...)
-	dst.val = append(dst.val[:0], vals...)
-	t.w.scol, t.w.sval = cols, vals
+	dst.num = append(dst.num[:0], nums...)
+	if frac {
+		dst.den = append(dst.den[:0], dens...)
+	}
+	w.scol, w.snum, w.sden = cols, nums, dens
 	return nil
+}
+
+// appendDen appends the denominators of r's entries [i, k).
+func appendDen(dens []int64, r *srow, i, k int) []int64 {
+	if r.den != nil {
+		return append(dens, r.den[i:k]...)
+	}
+	return appendOnes(dens, k-i)
+}
+
+// appendOnes appends n denominators of 1.
+func appendOnes(dens []int64, n int) []int64 {
+	for range n {
+		dens = append(dens, 1)
+	}
+	return dens
 }
 
 // column gathers the nonzero entries of column c over the constraint
@@ -226,10 +311,12 @@ func (t *ftab) pivot(r int, c int32) error {
 	if !ok {
 		return errOverflow
 	}
-	for k := range prow.val {
-		if prow.val[k], ok = prow.val[k].mul(inv); !ok {
+	for k := range prow.num {
+		v, ok := prow.get(k).mul(inv)
+		if !ok {
 			return errOverflow
 		}
+		prow.set(k, v)
 	}
 	if prow.rhs, ok = prow.rhs.mul(inv); !ok {
 		return errOverflow
@@ -276,7 +363,7 @@ func (t *ftab) run() (Status, error) {
 		// row is sorted by column, so the first positive entry wins).
 		enter := int32(-1)
 		for k, c := range t.cost.col {
-			if int(c) < t.ncols && t.cost.val[k].n > 0 {
+			if int(c) < t.ncols && t.cost.num[k] > 0 {
 				enter = c
 				break
 			}
@@ -362,8 +449,7 @@ func (t *ftab) evictArtificials(firstArt int) error {
 	for r := range t.rows {
 		row := &t.rows[r]
 		cut, _ := slices.BinarySearch(row.col, int32(firstArt))
-		row.col = row.col[:cut]
-		row.val = row.val[:cut]
+		row.truncate(cut)
 	}
 	return nil
 }
@@ -392,12 +478,12 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 	for _, c := range m.cons {
 		row := srow{
 			col: make([]int32, len(c.terms.vars), len(c.terms.vars)+2),
-			val: make([]rat64, len(c.terms.vars), len(c.terms.vars)+2),
+			num: make([]int64, len(c.terms.vars), len(c.terms.vars)+2),
 			rhs: c.rhs,
 		}
 		for i, v := range c.terms.vars {
 			row.col[i] = int32(v)
-			row.val[i] = c.terms.coef[i]
+			row.set(i, c.terms.coef[i])
 			if lower[v].n != 0 {
 				p, okm := c.terms.coef[i].mul(lower[v])
 				if !okm {
@@ -424,7 +510,7 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 		}
 		rows = append(rows, srow{
 			col: append(make([]int32, 0, 3), int32(v)),
-			val: append(make([]rat64, 0, 3), r64One),
+			num: append(make([]int64, 0, 3), 1),
 			rhs: span,
 		})
 		senses = append(senses, LE)
@@ -438,11 +524,11 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 			return nil, nil, false, errOverflow
 		}
 		rows[i].rhs.n = -rows[i].rhs.n
-		for k := range rows[i].val {
-			if rows[i].val[k].n == math.MinInt64 {
+		for k, a := range rows[i].num {
+			if a == math.MinInt64 {
 				return nil, nil, false, errOverflow
 			}
-			rows[i].val[k].n = -rows[i].val[k].n
+			rows[i].num[k] = -a
 		}
 		switch senses[i] {
 		case LE:
@@ -494,21 +580,17 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 			basic := -1
 			switch senses[i] {
 			case LE:
-				rows[i].col = append(rows[i].col, int32(slackAt))
-				rows[i].val = append(rows[i].val, r64One)
+				rows[i].push(int32(slackAt), r64One)
 				basic = slackAt
 				slackAt++
 			case GE:
-				rows[i].col = append(rows[i].col, int32(slackAt))
-				rows[i].val = append(rows[i].val, rat64{-1, 1})
+				rows[i].push(int32(slackAt), rat64{-1, 1})
 				slackAt++
-				rows[i].col = append(rows[i].col, int32(artAt))
-				rows[i].val = append(rows[i].val, r64One)
+				rows[i].push(int32(artAt), r64One)
 				basic = artAt
 				artAt++
 			case EQ:
-				rows[i].col = append(rows[i].col, int32(artAt))
-				rows[i].val = append(rows[i].val, r64One)
+				rows[i].push(int32(artAt), r64One)
 				basic = artAt
 				artAt++
 			}
@@ -517,10 +599,10 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 		t.rows = rows
 		if nArt > 0 {
 			// Phase 1: maximize -(sum of artificials).
-			p1 := srow{col: make([]int32, nArt), val: make([]rat64, nArt), rhs: r64Zero}
+			p1 := srow{col: make([]int32, nArt), num: make([]int64, nArt), rhs: r64Zero}
 			for i := 0; i < nArt; i++ {
 				p1.col[i] = int32(n + nSlack + i)
-				p1.val[i] = rat64{-1, 1}
+				p1.num[i] = -1
 			}
 			t.cost = p1
 			if err := t.priceOut(); err != nil {
@@ -546,11 +628,10 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 	}
 	// Phase 2: real objective.
 	obj := m.objective
-	cost := srow{col: make([]int32, 0, obj.Len()), val: make([]rat64, 0, obj.Len()), rhs: r64Zero}
+	cost := srow{col: make([]int32, 0, obj.Len()), num: make([]int64, 0, obj.Len()), rhs: r64Zero}
 	for i, v := range obj.vars {
 		if int(v) < t.ncols {
-			cost.col = append(cost.col, int32(v))
-			cost.val = append(cost.val, obj.coef[i])
+			cost.push(int32(v), obj.coef[i])
 		}
 	}
 	t.cost = cost

@@ -257,6 +257,28 @@ func TestLoopNestPivotsGolden(t *testing.T) {
 	}
 }
 
+// TestIntegerRowsHoldNoDenominators checks that phase 1 of an
+// all-integer loop-nest solve keeps every tableau row as numerators
+// only; its fill-in is most of the memory a solve holds. A row that
+// had taken a denominator slice keeps it, so the post-phase-1
+// snapshot shows one taken at any pivot.
+func TestIntegerRowsHoldNoDenominators(t *testing.T) {
+	m := loopNestIPETModel(rand.New(rand.NewSource(7)), 8, 2, 1, 11)
+	var r Reuse
+	w := new(work)
+	if _, err := m.fastLP(m.lower, m.upper, m.upinf, &r, []int64{1}, w); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.rows) == 0 || w.widest < 50 {
+		t.Fatalf("snapshot of %d rows, widest row %d entries: want a phase 1 with fill-in", len(r.rows), w.widest)
+	}
+	for i, row := range r.rows {
+		if row.den != nil {
+			t.Fatalf("row %d holds denominators %v", i, row.den)
+		}
+	}
+}
+
 // TestFastMatchesOracleGeneral stresses the comparison on general random
 // models: mixed senses, rational right-hand sides, negative lower bounds,
 // finite upper bounds, mixed integer/continuous variables.
