@@ -21,57 +21,10 @@ const maxPivots = 1_000_000
 // exact int64-rational values, plus the right-hand side. Columns are
 // laid out structural-first, then slacks, then artificials — the same
 // layout as the retired dense oracle, so pivot choices coincide.
-//
-// Entry k is num[k]/den[k]. den is nil while every entry is an integer,
-// which IPET rows stay throughout, so such an entry takes 12 bytes with
-// its column instead of 20; phase 1's fill-in is most of what a solve
-// allocates and holds. A row that takes a fractional entry gets den and
-// keeps it.
 type srow struct {
 	col []int32
-	num []int64
-	den []int64
+	val []rat64
 	rhs rat64
-}
-
-// get returns entry k.
-func (r *srow) get(k int) rat64 {
-	if r.den == nil {
-		return rat64{r.num[k], 1}
-	}
-	return rat64{r.num[k], r.den[k]}
-}
-
-// set overwrites entry k.
-func (r *srow) set(k int, v rat64) {
-	if v.d != 1 && r.den == nil {
-		r.den = appendOnes(make([]int64, 0, cap(r.num)), len(r.num))
-	}
-	r.num[k] = v.n
-	if r.den != nil {
-		r.den[k] = v.d
-	}
-}
-
-// push appends entry v in column c, which must lie right of every
-// column the row holds.
-func (r *srow) push(c int32, v rat64) {
-	if v.d != 1 && r.den == nil {
-		r.den = appendOnes(make([]int64, 0, cap(r.num)), len(r.num))
-	}
-	r.col = append(r.col, c)
-	r.num = append(r.num, v.n)
-	if r.den != nil {
-		r.den = append(r.den, v.d)
-	}
-}
-
-// truncate keeps the first n entries.
-func (r *srow) truncate(n int) {
-	r.col, r.num = r.col[:n], r.num[:n]
-	if r.den != nil {
-		r.den = r.den[:n]
-	}
 }
 
 // at returns the value in column c (zero when absent). Most rows are
@@ -82,13 +35,13 @@ func (r *srow) at(c int32) rat64 {
 		return r64Zero
 	}
 	if i, ok := slices.BinarySearch(r.col, c); ok {
-		return r.get(i)
+		return r.val[i]
 	}
 	return r64Zero
 }
 
 func (r *srow) clone() srow {
-	return srow{col: slices.Clone(r.col), num: slices.Clone(r.num), den: slices.Clone(r.den), rhs: r.rhs}
+	return srow{col: slices.Clone(r.col), val: slices.Clone(r.val), rhs: r.rhs}
 }
 
 // Reuse caches the feasible post-phase-1 tableau of one structural
@@ -157,13 +110,11 @@ func (r *Reuse) put(key []int64, rows []srow, basis []int, ncols int) {
 // next instead of being regrown.
 type work struct {
 	pivots int // accumulated across phases and B&B nodes
-	widest int // longest constraint row a pivot has written; tests check their models fill in
+	widest int // longest constraint row a pivot has written, for tests
 
-	// merge scratch of subMul; sden is used only while the merged row
-	// has a fractional entry.
+	// merge scratch of subMul.
 	scol []int32
-	snum []int64
-	sden []int64
+	sval []rat64
 
 	// The entering column as gathered by column: the rows holding a
 	// nonzero entry, ascending, and those entries.
@@ -187,6 +138,12 @@ type ftab struct {
 	basis []int
 	ncols int
 	w     *work
+
+	// firstArt is the first artificial column while phase 1 and
+	// evictArtificials run, and 0 otherwise. An artificial that leaves
+	// the basis never re-enters, so pivot drops its column instead of
+	// spreading it into every row the pivot touches.
+	firstArt int32
 }
 
 // gallop returns the first index k >= lo with col[k] >= c. It probes
@@ -210,53 +167,36 @@ func gallop(col []int32, lo int, c int32) int {
 // before it with one bulk append; arithmetic runs only on src's entries.
 // Returns errOverflow when any product or sum leaves int64.
 func (t *ftab) subMul(dst, src *srow, f rat64) error {
-	w := t.w
-	cols, nums, dens := w.scol[:0], w.snum[:0], w.sden[:0]
-	// dens is filled only while frac is set: from the start when dst
-	// has denominators, else from the first fractional entry on.
-	frac := dst.den != nil
+	cols, vals := t.w.scol[:0], t.w.sval[:0]
 	i := 0
 	for j, c := range src.col {
 		k := gallop(dst.col, i, c)
 		cols = append(cols, dst.col[i:k]...)
-		nums = append(nums, dst.num[i:k]...)
-		if frac {
-			dens = appendDen(dens, dst, i, k)
-		}
-		fv, ok := f.mul(src.get(j))
+		vals = append(vals, dst.val[i:k]...)
+		fv, ok := f.mul(src.val[j])
 		if !ok {
 			return errOverflow
 		}
-		var v rat64
 		if k < len(dst.col) && dst.col[k] == c {
-			if v, ok = dst.get(k).sub(fv); !ok {
+			nv, ok := dst.val[k].sub(fv)
+			if !ok {
 				return errOverflow
 			}
-			i = k + 1
-			if v.n == 0 {
-				continue
+			if nv.n != 0 {
+				cols = append(cols, c)
+				vals = append(vals, nv)
 			}
+			i = k + 1
 		} else {
 			// Fill-in. fv is nonzero as a product of nonzeros, and mul
 			// never returns a MinInt64 numerator, so negating it is exact.
-			v = rat64{-fv.n, fv.d}
+			cols = append(cols, c)
+			vals = append(vals, rat64{-fv.n, fv.d})
 			i = k
-		}
-		if v.d != 1 && !frac {
-			frac = true
-			dens = appendOnes(dens, len(nums))
-		}
-		cols = append(cols, c)
-		nums = append(nums, v.n)
-		if frac {
-			dens = append(dens, v.d)
 		}
 	}
 	cols = append(cols, dst.col[i:]...)
-	nums = append(nums, dst.num[i:]...)
-	if frac {
-		dens = appendDen(dens, dst, i, len(dst.col))
-	}
+	vals = append(vals, dst.val[i:]...)
 	fr, ok := f.mul(src.rhs)
 	if !ok {
 		return errOverflow
@@ -265,28 +205,9 @@ func (t *ftab) subMul(dst, src *srow, f rat64) error {
 		return errOverflow
 	}
 	dst.col = append(dst.col[:0], cols...)
-	dst.num = append(dst.num[:0], nums...)
-	if frac {
-		dst.den = append(dst.den[:0], dens...)
-	}
-	w.scol, w.snum, w.sden = cols, nums, dens
+	dst.val = append(dst.val[:0], vals...)
+	t.w.scol, t.w.sval = cols, vals
 	return nil
-}
-
-// appendDen appends the denominators of r's entries [i, k).
-func appendDen(dens []int64, r *srow, i, k int) []int64 {
-	if r.den != nil {
-		return append(dens, r.den[i:k]...)
-	}
-	return appendOnes(dens, k-i)
-}
-
-// appendOnes appends n denominators of 1.
-func appendOnes(dens []int64, n int) []int64 {
-	for range n {
-		dens = append(dens, 1)
-	}
-	return dens
 }
 
 // column gathers the nonzero entries of column c over the constraint
@@ -311,15 +232,20 @@ func (t *ftab) pivot(r int, c int32) error {
 	if !ok {
 		return errOverflow
 	}
-	for k := range prow.num {
-		v, ok := prow.get(k).mul(inv)
-		if !ok {
+	for k := range prow.val {
+		if prow.val[k], ok = prow.val[k].mul(inv); !ok {
 			return errOverflow
 		}
-		prow.set(k, v)
 	}
 	if prow.rhs, ok = prow.rhs.mul(inv); !ok {
 		return errOverflow
+	}
+	if t.firstArt > 0 {
+		// Drop the leaving artificial, the one entry the row can hold
+		// past firstArt: basic artificials are unit columns, and
+		// departed ones stay empty.
+		k, _ := slices.BinarySearch(prow.col, t.firstArt)
+		prow.col, prow.val = prow.col[:k], prow.val[:k]
 	}
 	for k, i := range t.w.grow {
 		if int(i) == r {
@@ -363,7 +289,7 @@ func (t *ftab) run() (Status, error) {
 		// row is sorted by column, so the first positive entry wins).
 		enter := int32(-1)
 		for k, c := range t.cost.col {
-			if int(c) < t.ncols && t.cost.num[k] > 0 {
+			if int(c) < t.ncols && t.cost.val[k].n > 0 {
 				enter = c
 				break
 			}
@@ -414,9 +340,10 @@ func (t *ftab) run() (Status, error) {
 }
 
 // evictArtificials pivots artificial variables out of the basis after a
-// successful phase 1, dropping redundant rows, then truncates the
-// artificial columns.
-func (t *ftab) evictArtificials(firstArt int) error {
+// successful phase 1, dropping redundant rows, and ends phase 1. Its
+// pivots drop the last artificial entries, so the kept rows hold none.
+func (t *ftab) evictArtificials() error {
+	firstArt := int(t.firstArt)
 	// Pivot first, compact after: pivots rewrite rows in place, so every
 	// row must stay at its index until all pivots are done. A dropped
 	// row is marked by a negative basis entry.
@@ -445,12 +372,7 @@ func (t *ftab) evictArtificials(firstArt int) error {
 	}
 	clear(t.rows[kept:])
 	t.rows, t.basis = t.rows[:kept], t.basis[:kept]
-	t.ncols = firstArt
-	for r := range t.rows {
-		row := &t.rows[r]
-		cut, _ := slices.BinarySearch(row.col, int32(firstArt))
-		row.truncate(cut)
-	}
+	t.ncols, t.firstArt = firstArt, 0
 	return nil
 }
 
@@ -478,12 +400,12 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 	for _, c := range m.cons {
 		row := srow{
 			col: make([]int32, len(c.terms.vars), len(c.terms.vars)+2),
-			num: make([]int64, len(c.terms.vars), len(c.terms.vars)+2),
+			val: make([]rat64, len(c.terms.vars), len(c.terms.vars)+2),
 			rhs: c.rhs,
 		}
 		for i, v := range c.terms.vars {
 			row.col[i] = int32(v)
-			row.set(i, c.terms.coef[i])
+			row.val[i] = c.terms.coef[i]
 			if lower[v].n != 0 {
 				p, okm := c.terms.coef[i].mul(lower[v])
 				if !okm {
@@ -510,7 +432,7 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 		}
 		rows = append(rows, srow{
 			col: append(make([]int32, 0, 3), int32(v)),
-			num: append(make([]int64, 0, 3), 1),
+			val: append(make([]rat64, 0, 3), r64One),
 			rhs: span,
 		})
 		senses = append(senses, LE)
@@ -524,11 +446,11 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 			return nil, nil, false, errOverflow
 		}
 		rows[i].rhs.n = -rows[i].rhs.n
-		for k, a := range rows[i].num {
-			if a == math.MinInt64 {
+		for k := range rows[i].val {
+			if rows[i].val[k].n == math.MinInt64 {
 				return nil, nil, false, errOverflow
 			}
-			rows[i].num[k] = -a
+			rows[i].val[k].n = -rows[i].val[k].n
 		}
 		switch senses[i] {
 		case LE:
@@ -580,17 +502,21 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 			basic := -1
 			switch senses[i] {
 			case LE:
-				rows[i].push(int32(slackAt), r64One)
+				rows[i].col = append(rows[i].col, int32(slackAt))
+				rows[i].val = append(rows[i].val, r64One)
 				basic = slackAt
 				slackAt++
 			case GE:
-				rows[i].push(int32(slackAt), rat64{-1, 1})
+				rows[i].col = append(rows[i].col, int32(slackAt))
+				rows[i].val = append(rows[i].val, rat64{-1, 1})
 				slackAt++
-				rows[i].push(int32(artAt), r64One)
+				rows[i].col = append(rows[i].col, int32(artAt))
+				rows[i].val = append(rows[i].val, r64One)
 				basic = artAt
 				artAt++
 			case EQ:
-				rows[i].push(int32(artAt), r64One)
+				rows[i].col = append(rows[i].col, int32(artAt))
+				rows[i].val = append(rows[i].val, r64One)
 				basic = artAt
 				artAt++
 			}
@@ -599,15 +525,16 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 		t.rows = rows
 		if nArt > 0 {
 			// Phase 1: maximize -(sum of artificials).
-			p1 := srow{col: make([]int32, nArt), num: make([]int64, nArt), rhs: r64Zero}
+			p1 := srow{col: make([]int32, nArt), val: make([]rat64, nArt), rhs: r64Zero}
 			for i := 0; i < nArt; i++ {
 				p1.col[i] = int32(n + nSlack + i)
-				p1.num[i] = -1
+				p1.val[i] = rat64{-1, 1}
 			}
 			t.cost = p1
 			if err := t.priceOut(); err != nil {
 				return fastLPResult{}, err
 			}
+			t.firstArt = int32(n + nSlack)
 			st, err := t.run()
 			if err != nil {
 				return fastLPResult{}, err
@@ -618,7 +545,7 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 			if t.cost.rhs.n != 0 {
 				return fastLPResult{status: Infeasible}, nil
 			}
-			if err := t.evictArtificials(n + nSlack); err != nil {
+			if err := t.evictArtificials(); err != nil {
 				return fastLPResult{}, err
 			}
 		}
@@ -628,10 +555,11 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 	}
 	// Phase 2: real objective.
 	obj := m.objective
-	cost := srow{col: make([]int32, 0, obj.Len()), num: make([]int64, 0, obj.Len()), rhs: r64Zero}
+	cost := srow{col: make([]int32, 0, obj.Len()), val: make([]rat64, 0, obj.Len()), rhs: r64Zero}
 	for i, v := range obj.vars {
 		if int(v) < t.ncols {
-			cost.push(int32(v), obj.coef[i])
+			cost.col = append(cost.col, int32(v))
+			cost.val = append(cost.val, obj.coef[i])
 		}
 	}
 	t.cost = cost

@@ -23,6 +23,12 @@ type rtab struct {
 	cost  []*big.Rat
 	basis []int
 	ncols int
+
+	// firstArt is the first artificial column during phase 1, and 0
+	// otherwise. The fast path drops an artificial's column when it
+	// leaves the basis, so no artificial can re-enter there; run keeps
+	// the same rule by never entering one.
+	firstArt int
 }
 
 // oracleNode is one branch-and-bound subproblem: the shared immutable
@@ -169,9 +175,11 @@ func (nd *oracleNode) solveLP() (*Solution, error) {
 		}
 		tb.cost = phase1
 		tb.priceOut()
+		tb.firstArt = n + nSlack
 		if st := tb.run(nd.pivots); st != Optimal {
 			return nil, fmt.Errorf("phase-1 simplex returned %v", st)
 		}
+		tb.firstArt = 0
 		if tb.cost[ncols].Sign() != 0 {
 			return &Solution{Status: Infeasible, Nodes: 1}, nil
 		}
@@ -228,9 +236,14 @@ func (tb *rtab) priceOut() {
 // or unboundedness. The cost row must already be priced out.
 func (tb *rtab) run(pivots *int) Status {
 	for piv := 0; piv < maxPivots; piv++ {
-		// Entering: smallest index with positive reduced cost.
+		// Entering: smallest index with positive reduced cost, never an
+		// artificial.
+		limit := tb.ncols
+		if tb.firstArt > 0 {
+			limit = tb.firstArt
+		}
 		enter := -1
-		for c := 0; c < tb.ncols; c++ {
+		for c := 0; c < limit; c++ {
 			if tb.cost[c].Sign() > 0 {
 				enter = c
 				break
