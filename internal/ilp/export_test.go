@@ -41,6 +41,34 @@ func (m *Model) SolveLP() (*Solution, error) {
 	}
 }
 
+// solvePriced is the warm path of ipet.Skeleton.Solve on a built model:
+// the anchor's answer when Price gives one, else SolveWithReuse. priced
+// reports which of the two answered.
+func (m *Model) solvePriced(r *Reuse, key []int64) (sol *Solution, priced bool, err error) {
+	if value, x, ok := r.Price(key, m.NumVars(), m.objective); ok {
+		xs := make([]*big.Rat, len(x))
+		for i, v := range x {
+			xs[i] = new(big.Rat).SetInt64(v)
+		}
+		return &Solution{Status: Optimal, Value: new(big.Rat).SetInt64(value), X: xs, Nodes: 1}, true, nil
+	}
+	sol, err = m.SolveWithReuse(r, key)
+	return sol, false, err
+}
+
+// phase1Pivots returns the pivots phase 1 takes on m, which a solve
+// warm-started from the post-phase-1 snapshot does not repeat: with a
+// zero objective phase 2 stops at once. ok is false on overflow.
+func (m *Model) phase1Pivots() (pivots int, ok bool) {
+	z := m.Clone()
+	z.SetObjective(NewLin())
+	w := new(work)
+	if _, err := z.fastLP(z.lower, z.upper, z.upinf, nil, nil, w); err != nil {
+		return 0, false
+	}
+	return w.pivots, true
+}
+
 // Add accumulates coef·v into the expression and returns it for chaining.
 // The coefficient must fit an int64 rational.
 func (l *Lin) Add(v Var, coef *big.Rat) *Lin {

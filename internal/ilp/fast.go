@@ -44,29 +44,53 @@ func (r *srow) clone() srow {
 	return srow{col: slices.Clone(r.col), val: slices.Clone(r.val), rhs: r.rhs}
 }
 
-// Reuse caches the feasible post-phase-1 tableau of one structural
-// family of models, so re-solves that change only the objective (the
-// IPET sweep case: same flow structure, new block costs and penalties)
-// skip phase 1 entirely. Because phase 1 never looks at the objective,
-// a warm-started solve is bit-identical to a cold one — same pivots,
-// same vertex — which is what keeps batch outputs byte-stable.
+// Reuse caches two snapshots of one structural family of models, for
+// re-solves that change only the objective (the IPET sweep case: same
+// flow structure, new block costs and penalties).
+//
+// The first is the feasible post-phase-1 tableau. Phase 1 never looks at
+// the objective, so a solve warm-started from it skips phase 1 and is
+// bit-identical to a cold one — same pivots in phase 2, same vertex.
+//
+// The second is the anchor: the optimal root tableau of the first solve
+// that finishes phase 2 under the key at an integral vertex. The anchor
+// takes over that solve's rows, so it costs no copy. Price answers a new
+// objective from it without a model or a pivot when the anchor vertex is
+// that objective's unique LP optimum; the answer is then exactly the cold
+// solve's, because every simplex path ends at a unique optimum and branch
+// and bound stops at an integral root. Which solve installs the anchor
+// depends on scheduling once several goroutines share a Reuse, so the
+// pivot and hit counts of a run may change with the worker count; values,
+// vectors and node counts never do.
 //
 // The caller passes an exact key identifying everything that shapes the
 // constraint rows and bounds (for IPET: the persistence-event rows; the
 // skeleton's structure is fixed). A Reuse value is safe for concurrent
 // use.
 type Reuse struct {
-	mu    sync.Mutex
-	key   []int64
-	valid bool
-	rows  []srow
-	basis []int
-	ncols int
+	mu     sync.Mutex
+	key    []int64
+	valid  bool
+	rows   []srow
+	basis  []int
+	ncols  int
+	anchor *anchor
 
 	hits, misses uint64
 }
 
-// Stats reports warm-start hits and misses (for tests and tuning).
+// anchor is an optimal root tableau and its integral vertex. It is
+// immutable once installed, so Price reads it without the lock.
+type anchor struct {
+	rows  []srow
+	basis []int
+	ncols int
+	x     []int64
+}
+
+// Stats reports warm-start hits and misses (for tests and tuning). A hit
+// is a solve warm-started from the post-phase-1 snapshot or a Price
+// answer; a declined Price counts nothing, since its caller solves next.
 func (r *Reuse) Stats() (hits, misses uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -89,7 +113,8 @@ func (r *Reuse) take(key []int64) ([]srow, []int, int, bool) {
 	return rows, slices.Clone(r.basis), r.ncols, true
 }
 
-// put stores a snapshot for the key, replacing any previous one.
+// put stores a snapshot for the key, replacing any previous one and its
+// anchor.
 func (r *Reuse) put(key []int64, rows []srow, basis []int, ncols int) {
 	cp := make([]srow, len(rows))
 	for i := range rows {
@@ -102,6 +127,88 @@ func (r *Reuse) put(key []int64, rows []srow, basis []int, ncols int) {
 	r.basis = slices.Clone(basis)
 	r.ncols = ncols
 	r.valid = true
+	r.anchor = nil
+}
+
+// install makes the optimal tableau t with vertex x the key's anchor,
+// unless the key has one already or x is fractional. t's rows and basis
+// pass to the anchor, so the caller must not touch them afterwards.
+func (r *Reuse) install(key []int64, t *ftab, x []rat64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.valid || r.anchor != nil || !slices.Equal(r.key, key) {
+		return
+	}
+	xi := make([]int64, len(x))
+	for i, v := range x {
+		if !v.isInt() {
+			return
+		}
+		xi[i] = v.n
+	}
+	r.anchor = &anchor{rows: t.rows, basis: t.basis, ncols: t.ncols, x: xi}
+}
+
+// Price answers the solve of the key's model family with nvars variables
+// under objective obj from the anchor, in O(nnz) and without pivots. It
+// answers only when every nonbasic reduced cost of obj at the anchor is
+// strictly negative, so that the anchor vertex is the unique LP optimum;
+// the solve would then report exactly value and x, with Nodes == 1. On
+// ok=false — no anchor under the key, a zero or positive reduced cost,
+// or int64 overflow — the caller solves as usual. x is the anchor's own
+// vector and must not be modified.
+func (r *Reuse) Price(key []int64, nvars int, obj *Lin) (value int64, x []int64, ok bool) {
+	r.mu.Lock()
+	a := r.anchor
+	if a == nil || !slices.Equal(r.key, key) || len(a.x) != nvars {
+		r.mu.Unlock()
+		return 0, nil, false
+	}
+	r.mu.Unlock()
+	w := getWork()
+	defer workPool.Put(w)
+	if value, ok = a.price(obj, w); !ok {
+		return 0, nil, false
+	}
+	r.mu.Lock()
+	r.hits++
+	r.mu.Unlock()
+	return value, a.x, true
+}
+
+// price checks that obj's reduced costs at the anchor are strictly
+// negative on every nonbasic column and returns the objective value of
+// the anchor vertex. The reduced costs are formed in w's cost buffers;
+// the anchor rows are only read.
+func (a *anchor) price(obj *Lin, w *work) (int64, bool) {
+	t := ftab{rows: a.rows, basis: a.basis, ncols: a.ncols, w: w}
+	t.cost = srow{col: w.ccol[:0], val: append(w.cval[:0], obj.coef...), rhs: r64Zero}
+	for _, v := range obj.vars {
+		t.cost.col = append(t.cost.col, int32(v))
+	}
+	err := t.priceOut()
+	w.ccol, w.cval = t.cost.col, t.cost.val
+	// Basic columns are eliminated exactly, so the row holds nonbasic
+	// columns only, and each must be present with a negative entry.
+	if err != nil || len(t.cost.col) != a.ncols-len(a.basis) {
+		return 0, false
+	}
+	for _, v := range t.cost.val {
+		if v.n >= 0 {
+			return 0, false
+		}
+	}
+	value := r64Zero
+	for i, v := range obj.vars {
+		p, ok := obj.coef[i].mul(rat64{a.x[v], 1})
+		if !ok {
+			return 0, false
+		}
+		if value, ok = value.add(p); !ok {
+			return 0, false
+		}
+	}
+	return value.n, value.isInt()
 }
 
 // work is the scratch state of one solve, shared by both simplex phases
@@ -120,6 +227,10 @@ type work struct {
 	// nonzero entry, ascending, and those entries.
 	grow []int32
 	gval []rat64
+
+	// The cost row of a Price, kept for its capacity.
+	ccol []int32
+	cval []rat64
 }
 
 var workPool = sync.Pool{New: func() any { return new(work) }}
@@ -594,6 +705,9 @@ func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKe
 		if value, ok = value.add(p); !ok {
 			return fastLPResult{}, errOverflow
 		}
+	}
+	if reuse != nil {
+		reuse.install(reuseKey, t, x)
 	}
 	return fastLPResult{status: Optimal, x: x, value: value}, nil
 }

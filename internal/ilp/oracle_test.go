@@ -467,9 +467,84 @@ func TestWarmReuseBitIdentical(t *testing.T) {
 	}
 }
 
+// checkPricedSequence re-prices m under each objective of objs on one
+// Reuse, as a sweep re-prices a skeleton, and checks every answer — from
+// the anchor or from a solve — against the oracle's cold solve in status,
+// value, full vector and nodes. Pivots are checked on every answer but
+// the anchor's, which takes none: a cold solve must match the oracle's
+// count, and a warm one must fall short of it by exactly the phase-1
+// pivots it skipped. It returns how many answers came from the anchor.
+func checkPricedSequence(t *testing.T, m *Model, objs []*Lin) (priced int) {
+	t.Helper()
+	p1, p1ok := m.phase1Pivots()
+	var r Reuse
+	key := []int64{1}
+	for i, obj := range objs {
+		m.SetObjective(obj)
+		hits, _ := r.Stats()
+		got, fromAnchor, err := m.solvePriced(&r, key)
+		if err != nil {
+			t.Fatalf("objective %d: %v\n%s", i, err, m)
+		}
+		oracle, err := m.SolveOracle()
+		if err != nil {
+			t.Fatalf("objective %d oracle: %v\n%s", i, err, m)
+		}
+		assertSolutionsEqual(t, got, oracle, m)
+		warm, _ := r.Stats()
+		switch {
+		case fromAnchor:
+			priced++
+		case got.FellBack:
+		case warm > hits:
+			if p1ok && got.Pivots+p1 != oracle.Pivots {
+				t.Fatalf("objective %d: warm pivots %d + phase 1 %d, oracle %d\n%s", i, got.Pivots, p1, oracle.Pivots, m)
+			}
+		case got.Pivots != oracle.Pivots:
+			t.Fatalf("objective %d: cold pivots %d, oracle %d\n%s", i, got.Pivots, oracle.Pivots, m)
+		}
+	}
+	return priced
+}
+
+// TestPriceMatchesOracleSequences drives one Reuse per loop-nest IPET
+// model over a sequence of objectives, as a sweep re-prices a skeleton:
+// the model's own costs, small perturbations of them, a repeat, and flat
+// costs whose tied paths leave the anchor optimal but not unique, so both
+// the anchor answer and the warm solve are exercised.
+func TestPriceMatchesOracleSequences(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	priced, total := 0, 0
+	for trial := 0; trial < 4; trial++ {
+		m := loopNestIPETModel(rng, 2+rng.Intn(2), 2, 1, 2)
+		base := m.objective
+		objs := []*Lin{base}
+		for step := 1; step < 10; step++ {
+			obj := NewLin()
+			for i, v := range base.vars {
+				c := base.coef[i].n + int64(rng.Intn(4))
+				if step%4 == 3 {
+					c = 7
+				}
+				obj.AddInt(v, c)
+			}
+			objs = append(objs, obj)
+		}
+		objs = append(objs, base)
+		priced += checkPricedSequence(t, m, objs)
+		total += len(objs)
+	}
+	if priced == 0 || priced == total-4 {
+		t.Fatalf("%d of %d answers came from the anchor; the sequences must exercise both paths", priced, total)
+	}
+	t.Logf("%d of %d answers came from the anchor", priced, total)
+}
+
 // FuzzILPOracle decodes arbitrary bytes into a small bounded ILP and
 // cross-checks the fast path against the oracle, pivot counts included
-// unless the solve fell back.
+// unless the solve fell back. It then re-prices the model under three
+// more objectives decoded from the bytes on one Reuse, and checks every
+// answer, from the anchor or a solve, against the oracle's cold solve.
 func FuzzILPOracle(f *testing.F) {
 	f.Add([]byte{2, 1, 3, 0, 200, 1, 2, 0, 5, 1, 1})
 	f.Add([]byte{3, 2, 0, 0, 0, 9, 9, 9, 1, 2, 3, 4, 5, 6})
@@ -517,5 +592,14 @@ func FuzzILPOracle(f *testing.F) {
 		if !fast.FellBack && fast.Pivots != oracle.Pivots {
 			t.Fatalf("pivots: fast %d, oracle %d\n%s", fast.Pivots, oracle.Pivots, m)
 		}
+		objs := []*Lin{obj}
+		for range 3 {
+			o := NewLin()
+			for i := range vars {
+				o.AddInt(vars[i], int64(next()%15-5))
+			}
+			objs = append(objs, o)
+		}
+		checkPricedSequence(t, m, objs)
 	})
 }

@@ -20,6 +20,9 @@ func (m *Model) Solve() (*Solution, error) { return m.solve(nil, nil) }
 // choose key so that equal keys imply identical constraint rows and
 // variable bounds (the objective may differ freely — phase 1 never
 // reads it, which is why a warm solve is bit-identical to a cold one).
+// The first optimal integral root under the key becomes r's anchor,
+// which Reuse.Price answers later objectives from before any model is
+// built.
 func (m *Model) SolveWithReuse(r *Reuse, key []int64) (*Solution, error) {
 	return m.solve(r, key)
 }

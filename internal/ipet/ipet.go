@@ -14,11 +14,15 @@
 // extra path constraints — depends only on the CFG and its flow facts,
 // while every analysis variant (interference, bypass, locking, bus
 // sweeps) changes only block costs and event charges. A Skeleton
-// compiles the structure once; Skeleton.Solve specializes it per
-// scenario for (amortized) pennies and warm-starts the simplex from the
-// cached feasible basis, since phase 1 never reads the objective.
-// Loop-free graphs without extra constraints bypass the ILP entirely
-// via longest-path dynamic programming.
+// compiles the structure once. Skeleton.Solve first prices the new
+// objective against the optimal basis an earlier solve of the same
+// event structure left behind: when that vertex is still the unique
+// optimum, the answer needs no model and no pivot. Otherwise it
+// specializes the skeleton per scenario for (amortized) pennies and
+// warm-starts the simplex from the cached feasible basis, since phase 1
+// never reads the objective. Either way the Result is the cold solve's,
+// Pivots aside. Loop-free graphs without extra constraints bypass the
+// ILP entirely via longest-path dynamic programming.
 package ipet
 
 import (
@@ -185,7 +189,7 @@ func NewSkeleton(g *cfg.Graph, extra []flow.Constraint) (*Skeleton, error) {
 }
 
 // ReuseStats reports warm-start cache hits and misses of the skeleton's
-// simplex snapshot.
+// simplex snapshots; an answer from the optimal basis counts as a hit.
 //
 //paralint:testonly ipet and engine tests check that warm starts are taken
 func (s *Skeleton) ReuseStats() (hits, misses uint64) { return s.reuse.Stats() }
@@ -210,7 +214,7 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 		}
 	}
 	g := s.g
-	m := s.base.Fork()
+	nbase := s.base.NumVars()
 
 	obj := ilp.NewLin()
 	for _, b := range g.Blocks {
@@ -219,13 +223,15 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 		}
 	}
 
-	// Event variables and rows. The reuse key must determine the event
-	// rows exactly: one (block, scope) pair per scoped event, in order.
+	// Event variables. The reuse key must determine the event rows
+	// exactly: one (block, scope) pair per scoped event, in order.
 	// Penalties live in the objective and so stay out of the key — that
-	// is what makes sweep re-solves warm.
+	// is what makes sweep re-solves warm. Scoped events get the variables
+	// the model build below adds for them, numbered after the skeleton's.
 	eventVars := make([]ilp.Var, len(events))
 	reuseKey := make([]int64, 0, 2*len(events))
 	reuse := &s.reuse
+	nvars := nbase
 	for i, ev := range events {
 		if ev.Scope == nil {
 			// Per-execution charge: fold into the objective directly.
@@ -240,8 +246,35 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 			reuse = nil
 			li = -1
 		}
+		eventVars[i] = ilp.Var(nvars)
+		nvars++
+		obj.AddInt(eventVars[i], ev.Penalty)
+		reuseKey = append(reuseKey, int64(ev.Block), int64(li))
+	}
+
+	res := &Result{
+		Vars: nvars,
+		Cons: s.base.NumCons() + 2*(nvars-nbase) + len(s.extra),
+	}
+	if reuse != nil {
+		if value, x, ok := reuse.Price(reuseKey, nvars, obj); ok {
+			// The anchor vertex is the unique optimum, so the solve below
+			// would report it too, at the root.
+			res.WCET, res.Nodes = value, 1
+			s.counts(res, x, events, eventVars)
+			return res, nil
+		}
+	}
+
+	m := s.base.Fork()
+	for i, ev := range events {
+		if ev.Scope == nil {
+			continue
+		}
 		mv := m.AddIntVar("")
-		eventVars[i] = mv
+		if mv != eventVars[i] {
+			panic(fmt.Sprintf("ipet: event variable %d numbered %d", mv, eventVars[i]))
+		}
 		// At most once per scope entry.
 		lhs := ilp.NewLin().AddInt(mv, 1)
 		for _, e := range ev.Scope.EntryEdges {
@@ -251,8 +284,6 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 		// At most once per block execution.
 		lhs2 := ilp.NewLin().AddInt(mv, 1).AddInt(s.blockVar[ev.Block], -1)
 		m.AddConstraintInt("", lhs2, ilp.LE, 0)
-		obj.AddInt(mv, ev.Penalty)
-		reuseKey = append(reuseKey, int64(ev.Block), int64(li))
 	}
 
 	for _, c := range s.extra {
@@ -276,34 +307,40 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 	case ilp.Unbounded:
 		return nil, fmt.Errorf("ipet: model unbounded (missing loop bound?)")
 	}
-	res := &Result{
-		BlockCounts: make(map[cfg.BlockID]int64, len(g.Blocks)),
-		EdgeCounts:  make(map[int]int64, len(g.Edges)),
-		EventCounts: make([]int64, len(events)),
-		Vars:        m.NumVars(),
-		Cons:        m.NumCons(),
-		Nodes:       sol.Nodes,
-		Pivots:      sol.Pivots,
-		FellBack:    sol.FellBack,
-	}
 	if !sol.Value.IsInt() {
 		return nil, fmt.Errorf("ipet: non-integral optimum %s", sol.Value.RatString())
 	}
 	res.WCET = ratInt(sol.Value)
+	res.Nodes, res.Pivots, res.FellBack = sol.Nodes, sol.Pivots, sol.FellBack
+	x := make([]int64, len(sol.X))
+	for i := range sol.X {
+		x[i] = ratInt(sol.X[i])
+	}
+	s.counts(res, x, events, eventVars)
+	return res, nil
+}
+
+// counts fills res's block, edge and event counts from the solution
+// vector x; eventVars holds each scoped event's variable and -1 for a
+// per-execution event, which counts its block's executions.
+func (s *Skeleton) counts(res *Result, x []int64, events []Event, eventVars []ilp.Var) {
+	g := s.g
+	res.BlockCounts = make(map[cfg.BlockID]int64, len(g.Blocks))
+	res.EdgeCounts = make(map[int]int64, len(g.Edges))
+	res.EventCounts = make([]int64, len(events))
 	for _, b := range g.Blocks {
-		res.BlockCounts[b.ID] = ratInt(sol.X[s.blockVar[b.ID]])
+		res.BlockCounts[b.ID] = x[s.blockVar[b.ID]]
 	}
 	for _, e := range g.Edges {
-		res.EdgeCounts[e.ID] = ratInt(sol.X[s.edgeVar[e.ID]])
+		res.EdgeCounts[e.ID] = x[s.edgeVar[e.ID]]
 	}
 	for i, mv := range eventVars {
 		if mv >= 0 {
-			res.EventCounts[i] = ratInt(sol.X[mv])
+			res.EventCounts[i] = x[mv]
 		} else {
 			res.EventCounts[i] = res.BlockCounts[events[i].Block]
 		}
 	}
-	return res, nil
 }
 
 // solveDAG computes the loop-free case by longest-path dynamic

@@ -3,11 +3,13 @@ package ipet
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"paratime/internal/cfg"
 	"paratime/internal/flow"
+	"paratime/internal/ilp"
 	"paratime/internal/isa"
 )
 
@@ -90,8 +92,119 @@ func TestSkeletonWarmSolvesSkipPhase1(t *testing.T) {
 	}
 }
 
+// diffButPivots reports how got and want differ on the Result fields
+// but Pivots, the one a warm start may change, or nil if they agree.
+func diffButPivots(got, want *Result) error {
+	g, w := *got, *want
+	g.Pivots, w.Pivots = 0, 0
+	if !reflect.DeepEqual(g, w) {
+		return fmt.Errorf("result %+v, fresh skeleton %+v", *got, *want)
+	}
+	return nil
+}
+
+func sameButPivots(t *testing.T, got, want *Result) {
+	t.Helper()
+	if err := diffButPivots(got, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSkeletonPricesFromAnchor: once a solve has left its optimal basis
+// as the anchor, a re-solve whose vertex stays the unique optimum is
+// answered from it: no pivots, one node, and otherwise the Result of a
+// fresh skeleton.
+func TestSkeletonPricesFromAnchor(t *testing.T) {
+	p := benchProblem(t)
+	s, err := NewSkeleton(p.G, p.Extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Solve(denseCosts(p.G, p.Cost), p.Events); err != nil {
+		t.Fatal(err)
+	}
+	costs := map[cfg.BlockID]int{}
+	for id, c := range p.Cost {
+		costs[id] = c + 1
+	}
+	got, err := s.Solve(denseCosts(p.G, costs), p.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Pivots != 0 || got.Nodes != 1 {
+		t.Fatalf("re-solve took %d pivots and %d nodes, want an anchor answer (0 and 1)", got.Pivots, got.Nodes)
+	}
+	want, err := solve(&problem{G: p.G, Cost: costs, Events: p.Events, Extra: p.Extra})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameButPivots(t, got, want)
+	if hits, misses := s.ReuseStats(); hits != 1 || misses != 1 {
+		t.Fatalf("hits %d misses %d, want 1 and 1", hits, misses)
+	}
+}
+
+// TestSkeletonTieDeclinesPrice: an if/else whose arms cost the same
+// leaves the anchor vertex optimal but not unique, so Price must decline
+// and the re-solve must run the simplex to the vertex a fresh skeleton
+// reports.
+func TestSkeletonTieDeclinesPrice(t *testing.T) {
+	g := buildGraph(t, `
+        li   r1, 6
+loop:   slti r2, r1, 3
+        bne  r2, r0, other
+        addi r3, r3, 1
+        j    join
+other:  addi r4, r4, 1
+join:   addi r1, r1, -1
+        bne  r1, r0, loop
+        halt`)
+	if _, _, err := flow.BoundAll(g, nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSkeleton(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := g.Loops[0].Header.Succs
+	if len(arms) != 2 {
+		t.Fatalf("loop header has %d successors, want the two arms\n%s", len(arms), g.Dump())
+	}
+	unique, tie := unitCosts(g), unitCosts(g)
+	unique[arms[0].To.ID], unique[arms[1].To.ID] = 9, 5
+	tie[arms[0].To.ID], tie[arms[1].To.ID] = 5, 5
+	price := func(cost map[cfg.BlockID]int) bool {
+		obj := ilp.NewLin()
+		for id, c := range cost {
+			obj.AddInt(s.blockVar[id], int64(c))
+		}
+		_, _, ok := s.reuse.Price(nil, s.base.NumVars(), obj)
+		return ok
+	}
+	if _, err := s.Solve(denseCosts(g, unique), nil); err != nil {
+		t.Fatal(err)
+	}
+	if !price(unique) {
+		t.Fatal("Price declined the objective that installed the anchor")
+	}
+	if price(tie) {
+		t.Fatal("Price answered an objective whose optimum is not unique")
+	}
+	got, err := s.Solve(denseCosts(g, tie), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := solve(&problem{G: g, Cost: tie})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameButPivots(t, got, want)
+}
+
 // TestSkeletonConcurrentSolve hammers one shared skeleton from many
-// goroutines (the batch-engine sharing pattern); run with -race.
+// goroutines (the batch-engine sharing pattern); run with -race. Which
+// solve installs the anchor depends on scheduling, but every Result must
+// still be the fresh skeleton's, Pivots aside.
 func TestSkeletonConcurrentSolve(t *testing.T) {
 	p := benchProblem(t)
 	s, err := NewSkeleton(p.G, p.Extra)
@@ -99,7 +212,7 @@ func TestSkeletonConcurrentSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reference results per delta, computed sequentially.
-	want := make([]int64, 8)
+	want := make([]*Result, 8)
 	variantCost := func(d int) map[cfg.BlockID]int {
 		costs := map[cfg.BlockID]int{}
 		for id, c := range p.Cost {
@@ -112,7 +225,7 @@ func TestSkeletonConcurrentSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[d] = res.WCET
+		want[d] = res
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 64)
@@ -126,8 +239,8 @@ func TestSkeletonConcurrentSolve(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			if res.WCET != want[d] {
-				errs[i] = fmt.Errorf("goroutine %d: WCET %d, want %d", i, res.WCET, want[d])
+			if err := diffButPivots(res, want[d]); err != nil {
+				errs[i] = fmt.Errorf("goroutine %d: %v", i, err)
 			}
 		}(i)
 	}

@@ -11,8 +11,9 @@ import (
 // Benchmarks compare the compiled model (Compile + Compiled.AnalyzeCosts,
 // dense worklist fixpoint) against the retired map-based round-robin
 // implementation, which lives on in oracle_test.go. Both run on the same
-// graphs with the same timing functions, so the *Oracle numbers are the
-// reproducible "before" of BENCH_pipeline.json.
+// graphs with the same timing functions, so the *Oracle numbers are a
+// reproducible "before" for the layer; perfbench measures the whole
+// analysis end to end.
 
 // benchSmall is a matmult-shaped triple loop nest (the heaviest suite
 // task's shape).
