@@ -18,11 +18,6 @@ const (
 	defaultResultCacheBytes   = 64 << 20 // response-stream payload bound
 	defaultMemoEntries        = 256
 	defaultQueueDepth         = 64
-	// defaultAdmitFraction bounds any single memory-tier payload to this
-	// fraction of the tier's byte budget: one giant explore witness (or
-	// sweep report) must not flush a quarter of the hot set to be
-	// admitted. Oversized payloads still land in the disk tier.
-	defaultAdmitFraction = 0.25
 )
 
 // buildServeCache assembles the result cache for the serve verb: an
@@ -32,9 +27,9 @@ const (
 func buildServeCache(cacheDir string) (cachestore.CacheBackend, error) {
 	// Bounded by entries and bytes: cached NDJSON streams vary wildly in
 	// size (explore witnesses), so the entry bound alone cannot cap the
-	// memory footprint. The admission fraction keeps one huge response
+	// memory footprint. The tier's admission limit keeps one huge response
 	// from evicting a large slice of the hot set.
-	mem := cachestore.NewMemorySizedAdmit(defaultResultCacheEntries, defaultResultCacheBytes, defaultAdmitFraction)
+	mem := cachestore.NewMemorySized(defaultResultCacheEntries, defaultResultCacheBytes)
 	if cacheDir == "" {
 		return mem, nil
 	}

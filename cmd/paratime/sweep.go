@@ -41,7 +41,7 @@ func buildSweepManifest(cacheDir string) (cachestore.CacheBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem := cachestore.NewMemorySizedAdmit(defaultSweepManifestEntries, defaultSweepManifestBytes, defaultAdmitFraction)
+	mem := cachestore.NewMemorySized(defaultSweepManifestEntries, defaultSweepManifestBytes)
 	return cachestore.NewTwoTier(mem, disk), nil
 }
 

@@ -12,7 +12,7 @@ type Memory struct {
 	mu       sync.Mutex
 	cap      int
 	maxBytes int64
-	admit    int64      // largest admissible single payload (0 = maxBytes)
+	admit    int64      // largest admissible single payload (0 = unbounded)
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	stats    Stats
@@ -30,36 +30,29 @@ func NewMemory(capacity int) *Memory {
 	return NewMemorySized(capacity, 0)
 }
 
+// admitFraction bounds any single payload of a byte-bounded memory tier
+// to this fraction of its byte budget. One oversized entry would
+// otherwise push out many small hot ones whose aggregate hit value
+// exceeds its own — the classic cache-pollution trade — so it is
+// declined outright instead (a disk tier behind still takes it).
+const admitFraction = 0.25
+
 // NewMemorySized returns a memory backend bounded both by entry count
 // (capacity <= 0: unbounded) and by payload bytes (maxBytes <= 0:
 // unbounded). The byte bound counts []byte payloads only, like
-// Stats.Bytes; a single payload larger than maxBytes is declined
-// outright rather than evicting the whole cache to make room for it.
+// Stats.Bytes. A single payload larger than admitFraction × maxBytes is
+// declined rather than admitted by evicting a large slice of the tier;
+// declined payloads are counted as Puts and leave the cache, including
+// any previous value under the key, untouched.
 func NewMemorySized(capacity int, maxBytes int64) *Memory {
-	return NewMemorySizedAdmit(capacity, maxBytes, 1)
-}
-
-// NewMemorySizedAdmit is NewMemorySized with an admission policy: a
-// single payload larger than admitFrac × maxBytes is declined outright
-// instead of admitted by evicting a large slice of the tier. One
-// oversized entry can otherwise push out many small hot ones whose
-// aggregate hit value exceeds its own — the classic cache-pollution
-// trade. admitFrac is clamped to (0, 1]; values <= 0 or > 1 (and any
-// admitFrac when maxBytes is unbounded) select the plain maxBytes
-// bound. Declined payloads are counted as Puts and leave the cache,
-// including any previous value under the key, untouched.
-func NewMemorySizedAdmit(capacity int, maxBytes int64, admitFrac float64) *Memory {
 	m := &Memory{
 		cap:      capacity,
 		maxBytes: maxBytes,
 		ll:       list.New(),
 		items:    map[string]*list.Element{},
 	}
-	if maxBytes > 0 && admitFrac > 0 && admitFrac <= 1 {
-		m.admit = int64(admitFrac * float64(maxBytes))
-		if m.admit < 1 {
-			m.admit = 1
-		}
+	if maxBytes > 0 {
+		m.admit = max(int64(admitFraction*float64(maxBytes)), 1)
 	}
 	return m
 }
@@ -90,19 +83,14 @@ func (m *Memory) Get(key string) (any, bool) {
 
 // Put stores val under key, evicting least recently used entries until
 // both the capacity and byte bounds hold again (updates that grow an
-// entry evict too). A payload that alone exceeds the admission limit —
-// admitFrac × maxBytes, or all of maxBytes without an admission
-// policy — is declined: the cache, including any previous value under
-// the key, stays as it is.
+// entry evict too). A payload that alone exceeds the admission limit,
+// admitFraction × maxBytes, is declined: the cache, including any
+// previous value under the key, stays as it is.
 func (m *Memory) Put(key string, val any) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Puts++
-	limit := m.admit
-	if limit == 0 {
-		limit = m.maxBytes
-	}
-	if limit > 0 && sizeOf(val) > limit {
+	if m.admit > 0 && sizeOf(val) > m.admit {
 		return
 	}
 	if el, ok := m.items[key]; ok {

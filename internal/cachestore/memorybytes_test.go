@@ -32,15 +32,16 @@ func TestMemoryByteBoundFlood(t *testing.T) {
 
 // TestMemoryByteBoundDeclinesOversized: one payload larger than the
 // whole bound is declined outright, leaving the cache — including a
-// previous value under the same key — untouched.
+// previous value under the same key — untouched. The bound is 400 so
+// that the 40-byte entry fits its 100-byte admission limit.
 func TestMemoryByteBoundDeclinesOversized(t *testing.T) {
-	m := NewMemorySized(0, 100)
+	m := NewMemorySized(0, 400)
 	m.Put("a", make([]byte, 40))
-	m.Put("a", make([]byte, 200)) // declined: previous value survives
+	m.Put("a", make([]byte, 800)) // declined: previous value survives
 	if v, ok := m.Get("a"); !ok || len(v.([]byte)) != 40 {
 		t.Fatalf("oversized update clobbered the entry: ok=%v", ok)
 	}
-	m.Put("big", make([]byte, 101))
+	m.Put("big", make([]byte, 401))
 	if _, ok := m.Get("big"); ok {
 		t.Fatal("oversized insert was cached")
 	}
@@ -50,28 +51,31 @@ func TestMemoryByteBoundDeclinesOversized(t *testing.T) {
 }
 
 // TestMemoryByteBoundUpdateEvicts: growing an existing entry evicts LRU
-// entries until the bound holds again.
+// entries until the bound holds again. No entry may exceed a quarter of
+// the bound, so five entries are needed to overflow it.
 func TestMemoryByteBoundUpdateEvicts(t *testing.T) {
 	m := NewMemorySized(0, 100)
-	m.Put("a", make([]byte, 40))
-	m.Put("b", make([]byte, 40))
-	m.Put("b", make([]byte, 90)) // grows b; must evict a
+	for _, k := range []string{"a", "b", "c", "d"} {
+		m.Put(k, make([]byte, 20))
+	}
+	m.Put("e", make([]byte, 15))
+	m.Put("e", make([]byte, 25)) // grows e to 105 live bytes; must evict a
 	if _, ok := m.Get("a"); ok {
 		t.Fatal("a survived an update-path eviction")
 	}
-	if v, ok := m.Get("b"); !ok || len(v.([]byte)) != 90 {
-		t.Fatal("grown entry b missing")
+	if v, ok := m.Get("e"); !ok || len(v.([]byte)) != 25 {
+		t.Fatal("grown entry e missing")
 	}
-	if st := m.Stats(); st.Bytes != 90 || st.Evictions != 1 {
-		t.Fatalf("stats %+v, want 90 bytes and 1 eviction", st)
+	if st := m.Stats(); st.Bytes != 85 || st.Evictions != 1 {
+		t.Fatalf("stats %+v, want 85 bytes and 1 eviction", st)
 	}
 }
 
-// TestMemoryAdmitFractionDeclines: with an admission policy, a payload
-// larger than admitFrac × maxBytes is declined even though it would fit
-// the byte bound, and the hot set it would have displaced survives.
+// TestMemoryAdmitFractionDeclines: a payload larger than admitFraction ×
+// maxBytes is declined even though it would fit the byte bound, and the
+// hot set it would have displaced survives.
 func TestMemoryAdmitFractionDeclines(t *testing.T) {
-	m := NewMemorySizedAdmit(0, 1000, 0.25)
+	m := NewMemorySized(0, 1000)
 	for i := 0; i < 8; i++ {
 		m.Put(fmt.Sprintf("hot%d", i), make([]byte, 100))
 	}
@@ -91,9 +95,10 @@ func TestMemoryAdmitFractionDeclines(t *testing.T) {
 
 // TestMemoryAdmitFractionBoundary: a payload exactly at the admission
 // limit is admitted; one byte more is declined. A declined update leaves
-// the previous value under the key untouched.
+// the previous value under the key untouched. An unbounded tier has no
+// limit, and a tiny one still admits a byte.
 func TestMemoryAdmitFractionBoundary(t *testing.T) {
-	m := NewMemorySizedAdmit(0, 1000, 0.25)
+	m := NewMemorySized(0, 1000)
 	m.Put("at", make([]byte, 250))
 	if v, ok := m.Get("at"); !ok || len(v.([]byte)) != 250 {
 		t.Fatal("payload at the admission limit was declined")
@@ -102,30 +107,14 @@ func TestMemoryAdmitFractionBoundary(t *testing.T) {
 	if v, ok := m.Get("at"); !ok || len(v.([]byte)) != 250 {
 		t.Fatalf("declined update clobbered the entry: ok=%v", ok)
 	}
-}
-
-// TestMemoryAdmitFractionDegenerate: fractions outside (0, 1] and an
-// unbounded byte budget fall back to the plain maxBytes behavior.
-func TestMemoryAdmitFractionDegenerate(t *testing.T) {
-	for _, frac := range []float64{0, -1, 1.5} {
-		m := NewMemorySizedAdmit(0, 100, frac)
-		m.Put("a", make([]byte, 100))
-		if _, ok := m.Get("a"); !ok {
-			t.Fatalf("frac=%v: payload at maxBytes was declined", frac)
-		}
-		m.Put("b", make([]byte, 101))
-		if _, ok := m.Get("b"); ok {
-			t.Fatalf("frac=%v: payload above maxBytes was cached", frac)
-		}
-	}
-	// Unbounded bytes: any fraction admits everything.
-	m := NewMemorySizedAdmit(0, 0, 0.25)
+	// Unbounded bytes admit everything.
+	m = NewMemorySized(0, 0)
 	m.Put("big", make([]byte, 1<<20))
 	if _, ok := m.Get("big"); !ok {
 		t.Fatal("unbounded cache declined a payload")
 	}
 	// Tiny budgets never round the admission limit down to zero.
-	m = NewMemorySizedAdmit(0, 2, 0.25)
+	m = NewMemorySized(0, 2)
 	m.Put("one", make([]byte, 1))
 	if _, ok := m.Get("one"); !ok {
 		t.Fatal("1-byte payload declined under a tiny budget")
@@ -133,15 +122,22 @@ func TestMemoryAdmitFractionDegenerate(t *testing.T) {
 }
 
 // TestMemoryByteBoundKeepsNewest: the most recently used entry is never
-// evicted, even when it alone sits at the bound.
+// evicted, even when it brings the tier past the bound and the oldest
+// entry has to go for it.
 func TestMemoryByteBoundKeepsNewest(t *testing.T) {
 	m := NewMemorySized(0, 100)
-	m.Put("a", make([]byte, 60))
-	m.Put("b", make([]byte, 100)) // evicts a, keeps b exactly at bound
-	if _, ok := m.Get("b"); !ok {
+	m.Put("a", make([]byte, 20))
+	for _, k := range []string{"b", "c", "d"} {
+		m.Put(k, make([]byte, 25))
+	}
+	m.Put("e", make([]byte, 25)) // 120 live bytes: evicts a, keeps e
+	if _, ok := m.Get("e"); !ok {
 		t.Fatal("newest entry evicted")
 	}
-	if st := m.Stats(); st.Entries != 1 || st.Bytes != 100 {
-		t.Fatalf("stats %+v, want 1 entry of 100 bytes", st)
+	if _, ok := m.Get("a"); ok {
+		t.Fatal("oldest entry survived")
+	}
+	if st := m.Stats(); st.Entries != 4 || st.Bytes != 100 {
+		t.Fatalf("stats %+v, want 4 entries of 100 bytes", st)
 	}
 }

@@ -260,8 +260,9 @@ func (a *Analysis) RecomputeL2() error {
 // clone — untouched, which is what lets the batch engine hand one
 // memoized Prepare result to many concurrent consumers. The skeleton is
 // safe for the clones' concurrent ComputeWCET calls and lets the
-// engine's joint/partition/lock/bus sweeps skip rebuilding (and
-// re-factorizing, via its warm-start cache) identical ILP structure.
+// engine's joint/partition/lock/bus sweeps skip rebuilding identical ILP
+// structure, and re-solving it where the skeleton's optimal basis still
+// answers.
 func (a *Analysis) Clone() *Analysis {
 	c := *a
 	c.CAC = maps.Clone(a.CAC)
@@ -368,12 +369,14 @@ func (a *Analysis) chainFor(origin RefOrigin, id cache.RefID) missChain {
 
 // ComputeWCET prices every block under the current classifications and
 // solves the IPET model. It can be called repeatedly after classification
-// adjustments (interference, bypass, partitioning).
+// adjustments (interference, bypass, partitioning). a must come from
+// Prepare or Clone: it runs the compiled PipeOps and Skel that Prepare
+// builds and Clone shares.
 func (a *Analysis) ComputeWCET() error {
 	events := append([]ipet.Event(nil), a.ExtraEvents...)
 	// latFor returns (base, worst) added latency beyond the L1 hit for a
 	// reference, appending persistence events as needed.
-	latFor := func(origin RefOrigin, id cache.RefID, res *cache.Result, kind string) (int, int) {
+	latFor := func(origin RefOrigin, id cache.RefID, res *cache.Result) (int, int) {
 		rc := res.Classes[id]
 		ch := a.chainFor(origin, id)
 		full := ch.immediate + ch.l2Penalty
@@ -438,14 +441,14 @@ func (a *Analysis) ComputeWCET() error {
 		dIdx := 0
 		for i, in := range b.Insts() {
 			fid := cache.RefID{Block: b.ID, Seq: i}
-			fb, fw := latFor(FromL1I, fid, a.L1I, "i")
+			fb, fw := latFor(FromL1I, fid, a.L1I)
 			row[i].fetchBase = a.Sys.Mem.L1I.HitLatency + fb
 			row[i].fetchWorst = a.Sys.Mem.L1I.HitLatency + fw
 			row[i].fetchBaseMiss = fb > 0
 			row[i].fetchWorstMiss = fw > 0
 			if in.IsMem() {
 				did := cache.RefID{Block: b.ID, Seq: dIdx}
-				db, dw := latFor(FromL1D, did, a.L1D, "d")
+				db, dw := latFor(FromL1D, did, a.L1D)
 				row[i].memBase = a.Sys.Mem.L1D.HitLatency + db
 				row[i].memWorst = a.Sys.Mem.L1D.HitLatency + dw
 				row[i].memBaseMiss = db > 0
@@ -463,25 +466,11 @@ func (a *Analysis) ComputeWCET() error {
 		l := lats[b.ID][i]
 		return pipeline.InstTiming{Fetch: l.fetchWorst, FetchMiss: l.fetchWorstMiss, Mem: l.memWorst, MemMiss: l.memWorstMiss}
 	}
-	if a.PipeOps == nil {
-		// Hand-assembled Analysis (not via Prepare): compile on demand.
-		a.PipeOps = pipeline.Compile(a.G)
-	}
 	pipe, err := a.PipeOps.AnalyzeCosts(a.Sys.Pipeline, worst, base)
 	if err != nil {
 		return err
 	}
 	a.Pipe = pipe
-	if a.Skel == nil {
-		// Hand-assembled Analysis (not via Prepare): compile on demand.
-		var extra []flow.Constraint
-		if a.Task.Facts != nil {
-			extra = a.Task.Facts.Constraints
-		}
-		if a.Skel, err = ipet.NewSkeleton(a.G, extra); err != nil {
-			return err
-		}
-	}
 	res, err := a.Skel.Solve(pipe.Costs(), events)
 	if err != nil {
 		return err

@@ -7,8 +7,9 @@
 // re-analyzed by successive experiments) reuse the prepared artefacts
 // instead of recomputing them. Because every clone of a memoized
 // analysis shares one ipet.Skeleton, sweep re-pricings also share its
-// simplex warm-start cache: the ILP structure is built and factorized
-// once per task, not once per scenario.
+// optimal-basis anchor: the ILP structure is built once per task, not
+// once per scenario, and a re-pricing whose vertex stays the unique
+// optimum needs no pivot.
 //
 // Determinism is preserved by construction: each request's analysis runs
 // the same single-threaded code the sequential path runs, on a private

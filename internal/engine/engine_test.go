@@ -458,7 +458,8 @@ func TestMemoLRUCapBoundsGrowth(t *testing.T) {
 
 // TestMemoizedClonesShareSkeleton: every clone handed out for one
 // memoized prepare must share the same compiled IPET skeleton, so sweep
-// re-pricings hit its warm-start cache instead of rebuilding structure.
+// re-pricings are answered from its optimal basis instead of rebuilding
+// structure.
 func TestMemoizedClonesShareSkeleton(t *testing.T) {
 	e := New(0)
 	sys := testSys()
@@ -487,6 +488,6 @@ func TestMemoizedClonesShareSkeleton(t *testing.T) {
 		}
 	}
 	if hits, _ := as[0].Skel.ReuseStats(); hits == 0 {
-		t.Error("bus-delay sweep over one skeleton never hit the simplex warm-start cache")
+		t.Error("bus-delay sweep over one skeleton never priced from its optimal basis")
 	}
 }

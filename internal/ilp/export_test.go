@@ -41,7 +41,7 @@ func (m *Model) SolveLP() (*Solution, error) {
 	}
 }
 
-// solvePriced is the warm path of ipet.Skeleton.Solve on a built model:
+// solvePriced is the reuse path of ipet.Skeleton.Solve on a built model:
 // the anchor's answer when Price gives one, else SolveWithReuse. priced
 // reports which of the two answered.
 func (m *Model) solvePriced(r *Reuse, key []int64) (sol *Solution, priced bool, err error) {
@@ -54,19 +54,6 @@ func (m *Model) solvePriced(r *Reuse, key []int64) (sol *Solution, priced bool, 
 	}
 	sol, err = m.SolveWithReuse(r, key)
 	return sol, false, err
-}
-
-// phase1Pivots returns the pivots phase 1 takes on m, which a solve
-// warm-started from the post-phase-1 snapshot does not repeat: with a
-// zero objective phase 2 stops at once. ok is false on overflow.
-func (m *Model) phase1Pivots() (pivots int, ok bool) {
-	z := m.Clone()
-	z.SetObjective(NewLin())
-	w := new(work)
-	if _, err := z.fastLP(z.lower, z.upper, z.upinf, nil, nil, w); err != nil {
-		return 0, false
-	}
-	return w.pivots, true
 }
 
 // Add accumulates coef·v into the expression and returns it for chaining.

@@ -40,28 +40,20 @@ func (r *srow) at(c int32) rat64 {
 	return r64Zero
 }
 
-func (r *srow) clone() srow {
-	return srow{col: slices.Clone(r.col), val: slices.Clone(r.val), rhs: r.rhs}
-}
-
-// Reuse caches two snapshots of one structural family of models, for
+// Reuse caches the anchor of one structural family of models, for
 // re-solves that change only the objective (the IPET sweep case: same
 // flow structure, new block costs and penalties).
 //
-// The first is the feasible post-phase-1 tableau. Phase 1 never looks at
-// the objective, so a solve warm-started from it skips phase 1 and is
-// bit-identical to a cold one — same pivots in phase 2, same vertex.
-//
-// The second is the anchor: the optimal root tableau of the first solve
-// that finishes phase 2 under the key at an integral vertex. The anchor
-// takes over that solve's rows, so it costs no copy. Price answers a new
-// objective from it without a model or a pivot when the anchor vertex is
-// that objective's unique LP optimum; the answer is then exactly the cold
-// solve's, because every simplex path ends at a unique optimum and branch
-// and bound stops at an integral root. Which solve installs the anchor
-// depends on scheduling once several goroutines share a Reuse, so the
-// pivot and hit counts of a run may change with the worker count; values,
-// vectors and node counts never do.
+// The anchor is the optimal root tableau of the first solve that finishes
+// phase 2 under the key at an integral vertex. It takes over that solve's
+// rows, so it costs no copy. Price answers a new objective from it without
+// a model or a pivot when the anchor vertex is that objective's unique LP
+// optimum; the answer is then exactly the cold solve's, because every
+// simplex path ends at a unique optimum and branch and bound stops at an
+// integral root. Any other objective is solved cold. Which solve installs
+// the anchor depends on scheduling once several goroutines share a Reuse,
+// so the pivot and hit counts of a run may change with the worker count;
+// values, vectors and node counts never do.
 //
 // The caller passes an exact key identifying everything that shapes the
 // constraint rows and bounds (for IPET: the persistence-event rows; the
@@ -70,10 +62,6 @@ func (r *srow) clone() srow {
 type Reuse struct {
 	mu     sync.Mutex
 	key    []int64
-	valid  bool
-	rows   []srow
-	basis  []int
-	ncols  int
 	anchor *anchor
 
 	hits, misses uint64
@@ -88,55 +76,28 @@ type anchor struct {
 	x     []int64
 }
 
-// Stats reports warm-start hits and misses (for tests and tuning). A hit
-// is a solve warm-started from the post-phase-1 snapshot or a Price
-// answer; a declined Price counts nothing, since its caller solves next.
+// Stats reports Price answers (hits) and the root solves under the Reuse
+// that reached an LP optimum (misses), for tests and tuning. A declined
+// Price counts nothing, since its caller solves next.
 func (r *Reuse) Stats() (hits, misses uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.hits, r.misses
 }
 
-// take returns a private deep copy of the snapshot if the key matches.
-func (r *Reuse) take(key []int64) ([]srow, []int, int, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.valid || !slices.Equal(r.key, key) {
-		r.misses++
-		return nil, nil, 0, false
-	}
-	r.hits++
-	rows := make([]srow, len(r.rows))
-	for i := range r.rows {
-		rows[i] = r.rows[i].clone()
-	}
-	return rows, slices.Clone(r.basis), r.ncols, true
-}
-
-// put stores a snapshot for the key, replacing any previous one and its
-// anchor.
-func (r *Reuse) put(key []int64, rows []srow, basis []int, ncols int) {
-	cp := make([]srow, len(rows))
-	for i := range rows {
-		cp[i] = rows[i].clone()
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.key = slices.Clone(key)
-	r.rows = cp
-	r.basis = slices.Clone(basis)
-	r.ncols = ncols
-	r.valid = true
-	r.anchor = nil
-}
-
-// install makes the optimal tableau t with vertex x the key's anchor,
-// unless the key has one already or x is fractional. t's rows and basis
-// pass to the anchor, so the caller must not touch them afterwards.
+// install counts an optimal root solve under key and, if key is new,
+// discards the previous key's anchor. It then makes the optimal tableau
+// t with vertex x the key's anchor, unless the key has one already or x
+// is fractional. t's rows and basis pass to the anchor, so the caller
+// must not touch them afterwards.
 func (r *Reuse) install(key []int64, t *ftab, x []rat64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.valid || r.anchor != nil || !slices.Equal(r.key, key) {
+	r.misses++
+	if !slices.Equal(r.key, key) {
+		r.key, r.anchor = slices.Clone(key), nil
+	}
+	if r.anchor != nil {
 		return
 	}
 	xi := make([]int64, len(x))
@@ -574,94 +535,78 @@ func (m *Model) buildStandard(lower, upper []rat64, upinf []bool) (rows []srow, 
 }
 
 // fastLP solves the LP relaxation under the given bounds in int64
-// arithmetic, counting pivots in w. A non-nil reuse with a matching key
-// skips standard-form construction and phase 1 by restoring the cached
-// feasible tableau.
+// arithmetic, counting pivots in w. A non-nil reuse is offered the
+// optimal root tableau under reuseKey as its anchor.
 func (m *Model) fastLP(lower, upper []rat64, upinf []bool, reuse *Reuse, reuseKey []int64, w *work) (fastLPResult, error) {
 	n := m.NumVars()
-	t := &ftab{w: w}
-	warm := false
-	if reuse != nil {
-		if rows, basis, ncols, ok := reuse.take(reuseKey); ok {
-			t.rows, t.basis, t.ncols = rows, basis, ncols
-			warm = true
+	rows, senses, ok, err := m.buildStandard(lower, upper, upinf)
+	if err != nil {
+		return fastLPResult{}, err
+	}
+	if !ok {
+		return fastLPResult{status: Infeasible}, nil
+	}
+	// Column layout: [0,n) structural, then slacks/surplus, then
+	// artificials.
+	nSlack, nArt := 0, 0
+	for _, s := range senses {
+		if s != EQ {
+			nSlack++
+		}
+		if s != LE {
+			nArt++
 		}
 	}
-	if !warm {
-		rows, senses, ok, err := m.buildStandard(lower, upper, upinf)
+	t := &ftab{rows: rows, basis: make([]int, 0, len(rows)), ncols: n + nSlack + nArt, w: w}
+	slackAt, artAt := n, n+nSlack
+	for i := range rows {
+		basic := -1
+		switch senses[i] {
+		case LE:
+			rows[i].col = append(rows[i].col, int32(slackAt))
+			rows[i].val = append(rows[i].val, r64One)
+			basic = slackAt
+			slackAt++
+		case GE:
+			rows[i].col = append(rows[i].col, int32(slackAt))
+			rows[i].val = append(rows[i].val, rat64{-1, 1})
+			slackAt++
+			rows[i].col = append(rows[i].col, int32(artAt))
+			rows[i].val = append(rows[i].val, r64One)
+			basic = artAt
+			artAt++
+		case EQ:
+			rows[i].col = append(rows[i].col, int32(artAt))
+			rows[i].val = append(rows[i].val, r64One)
+			basic = artAt
+			artAt++
+		}
+		t.basis = append(t.basis, basic)
+	}
+	if nArt > 0 {
+		// Phase 1: maximize -(sum of artificials).
+		p1 := srow{col: make([]int32, nArt), val: make([]rat64, nArt), rhs: r64Zero}
+		for i := 0; i < nArt; i++ {
+			p1.col[i] = int32(n + nSlack + i)
+			p1.val[i] = rat64{-1, 1}
+		}
+		t.cost = p1
+		if err := t.priceOut(); err != nil {
+			return fastLPResult{}, err
+		}
+		t.firstArt = int32(n + nSlack)
+		st, err := t.run()
 		if err != nil {
 			return fastLPResult{}, err
 		}
-		if !ok {
+		if st != Optimal {
+			return fastLPResult{}, fmt.Errorf("phase-1 simplex returned %v", st)
+		}
+		if t.cost.rhs.n != 0 {
 			return fastLPResult{status: Infeasible}, nil
 		}
-		// Column layout: [0,n) structural, then slacks/surplus, then
-		// artificials.
-		nSlack, nArt := 0, 0
-		for _, s := range senses {
-			if s != EQ {
-				nSlack++
-			}
-			if s != LE {
-				nArt++
-			}
-		}
-		t.ncols = n + nSlack + nArt
-		t.basis = make([]int, 0, len(rows))
-		slackAt, artAt := n, n+nSlack
-		for i := range rows {
-			basic := -1
-			switch senses[i] {
-			case LE:
-				rows[i].col = append(rows[i].col, int32(slackAt))
-				rows[i].val = append(rows[i].val, r64One)
-				basic = slackAt
-				slackAt++
-			case GE:
-				rows[i].col = append(rows[i].col, int32(slackAt))
-				rows[i].val = append(rows[i].val, rat64{-1, 1})
-				slackAt++
-				rows[i].col = append(rows[i].col, int32(artAt))
-				rows[i].val = append(rows[i].val, r64One)
-				basic = artAt
-				artAt++
-			case EQ:
-				rows[i].col = append(rows[i].col, int32(artAt))
-				rows[i].val = append(rows[i].val, r64One)
-				basic = artAt
-				artAt++
-			}
-			t.basis = append(t.basis, basic)
-		}
-		t.rows = rows
-		if nArt > 0 {
-			// Phase 1: maximize -(sum of artificials).
-			p1 := srow{col: make([]int32, nArt), val: make([]rat64, nArt), rhs: r64Zero}
-			for i := 0; i < nArt; i++ {
-				p1.col[i] = int32(n + nSlack + i)
-				p1.val[i] = rat64{-1, 1}
-			}
-			t.cost = p1
-			if err := t.priceOut(); err != nil {
-				return fastLPResult{}, err
-			}
-			t.firstArt = int32(n + nSlack)
-			st, err := t.run()
-			if err != nil {
-				return fastLPResult{}, err
-			}
-			if st != Optimal {
-				return fastLPResult{}, fmt.Errorf("phase-1 simplex returned %v", st)
-			}
-			if t.cost.rhs.n != 0 {
-				return fastLPResult{status: Infeasible}, nil
-			}
-			if err := t.evictArtificials(); err != nil {
-				return fastLPResult{}, err
-			}
-		}
-		if reuse != nil {
-			reuse.put(reuseKey, t.rows, t.basis, t.ncols)
+		if err := t.evictArtificials(); err != nil {
+			return fastLPResult{}, err
 		}
 	}
 	// Phase 2: real objective.

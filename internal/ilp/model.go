@@ -254,8 +254,7 @@ type Solution struct {
 	// Nodes is the number of branch-and-bound nodes explored (1 for a
 	// pure LP).
 	Nodes int
-	// Pivots counts simplex pivots across all LP solves (phase-1 pivots
-	// skipped by a warm-started re-solve are not re-counted).
+	// Pivots counts simplex pivots across all LP solves.
 	Pivots int
 	// FellBack reports that int64 arithmetic overflowed and the solution
 	// was produced by the exact big.Rat oracle instead.

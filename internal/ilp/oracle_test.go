@@ -280,8 +280,8 @@ func TestLoopNestPivotsGolden(t *testing.T) {
 // TestPhase1DropsDepartedArtificials checks that phase 1 does not
 // spread departed artificial columns into the rows it updates: on the
 // seed-7 loop nest that fill-in made rows of 50 entries and more, and
-// was most of what a solve allocated. It also checks that the
-// post-phase-1 snapshot holds no artificial column at all.
+// was most of what a solve allocated. It also checks that the optimal
+// root tableau the anchor keeps holds no artificial column at all.
 func TestPhase1DropsDepartedArtificials(t *testing.T) {
 	m := loopNestIPETModel(rand.New(rand.NewSource(7)), 8, 2, 1, 11)
 	var r Reuse
@@ -289,15 +289,16 @@ func TestPhase1DropsDepartedArtificials(t *testing.T) {
 	if _, err := m.fastLP(m.lower, m.upper, m.upinf, &r, []int64{1}, w); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.rows) == 0 {
-		t.Fatal("no post-phase-1 snapshot")
+	a := r.anchor
+	if a == nil {
+		t.Fatal("no anchor installed")
 	}
 	if w.widest >= 20 {
 		t.Fatalf("widest updated row has %d entries, want under 20", w.widest)
 	}
-	for i, row := range r.rows {
-		if n := len(row.col); n > 0 && int(row.col[n-1]) >= r.ncols {
-			t.Fatalf("snapshot row %d holds column %d, past the %d kept columns", i, row.col[n-1], r.ncols)
+	for i, row := range a.rows {
+		if n := len(row.col); n > 0 && int(row.col[n-1]) >= a.ncols {
+			t.Fatalf("anchor row %d holds column %d, past the %d kept columns", i, row.col[n-1], a.ncols)
 		}
 	}
 }
@@ -418,70 +419,19 @@ func TestOverflowFallsBackToOracle(t *testing.T) {
 	}
 }
 
-// TestWarmReuseBitIdentical: a SolveWithReuse hit must return exactly
-// the cold solution (phase 1 is objective-independent), with fewer
-// pivots charged.
-func TestWarmReuseBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	m := randomIPETModel(rng)
-	var reuse Reuse
-	key := []int64{7}
-	cold, err := m.SolveWithReuse(&reuse, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, ms := reuse.Stats(); h != 0 || ms != 1 {
-		t.Fatalf("after cold solve: hits=%d misses=%d", h, ms)
-	}
-	// New objective, same rows: warm path must hit and agree with a
-	// fresh cold solve of the same model.
-	obj := NewLin()
-	for v := 0; v < m.NumVars(); v++ {
-		obj.AddInt(Var(v), int64(v%5+1))
-	}
-	m.SetObjective(obj)
-	warm, err := m.SolveWithReuse(&reuse, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := reuse.Stats(); h != 1 {
-		t.Fatalf("warm solve missed the snapshot (hits=%d)", h)
-	}
-	coldRef, err := m.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSolutionsEqual(t, warm, coldRef, m)
-	if warm.Pivots > coldRef.Pivots {
-		t.Errorf("warm solve pivoted more than cold: %d > %d", warm.Pivots, coldRef.Pivots)
-	}
-	if cold.Pivots <= warm.Pivots {
-		t.Errorf("warm solve did not skip phase-1 pivots: cold %d, warm %d", cold.Pivots, warm.Pivots)
-	}
-	// A different key must not hit.
-	if _, err := m.SolveWithReuse(&reuse, []int64{8}); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := reuse.Stats(); h != 1 {
-		t.Fatalf("mismatched key hit the snapshot (hits=%d)", h)
-	}
-}
-
 // checkPricedSequence re-prices m under each objective of objs on one
 // Reuse, as a sweep re-prices a skeleton, and checks every answer — from
 // the anchor or from a solve — against the oracle's cold solve in status,
-// value, full vector and nodes. Pivots are checked on every answer but
-// the anchor's, which takes none: a cold solve must match the oracle's
-// count, and a warm one must fall short of it by exactly the phase-1
-// pivots it skipped. It returns how many answers came from the anchor.
+// value, full vector and nodes. Every answer but the anchor's, which
+// takes no pivots, and a fallback's must also match the oracle's pivot
+// count: a solve that Price declined runs cold. It returns how many
+// answers came from the anchor.
 func checkPricedSequence(t *testing.T, m *Model, objs []*Lin) (priced int) {
 	t.Helper()
-	p1, p1ok := m.phase1Pivots()
 	var r Reuse
 	key := []int64{1}
 	for i, obj := range objs {
 		m.SetObjective(obj)
-		hits, _ := r.Stats()
 		got, fromAnchor, err := m.solvePriced(&r, key)
 		if err != nil {
 			t.Fatalf("objective %d: %v\n%s", i, err, m)
@@ -491,18 +441,22 @@ func checkPricedSequence(t *testing.T, m *Model, objs []*Lin) (priced int) {
 			t.Fatalf("objective %d oracle: %v\n%s", i, err, m)
 		}
 		assertSolutionsEqual(t, got, oracle, m)
-		warm, _ := r.Stats()
 		switch {
 		case fromAnchor:
 			priced++
 		case got.FellBack:
-		case warm > hits:
-			if p1ok && got.Pivots+p1 != oracle.Pivots {
-				t.Fatalf("objective %d: warm pivots %d + phase 1 %d, oracle %d\n%s", i, got.Pivots, p1, oracle.Pivots, m)
-			}
 		case got.Pivots != oracle.Pivots:
-			t.Fatalf("objective %d: cold pivots %d, oracle %d\n%s", i, got.Pivots, oracle.Pivots, m)
+			t.Fatalf("objective %d: pivots %d, oracle %d\n%s", i, got.Pivots, oracle.Pivots, m)
 		}
+	}
+	// An optimal int64 root solve under another key replaces the anchor,
+	// and Price answers only under the key its anchor was installed with.
+	sol, err := m.SolveWithReuse(&r, []int64{2})
+	if err != nil {
+		t.Fatalf("solve under a new key: %v\n%s", err, m)
+	}
+	if _, _, ok := r.Price(key, m.NumVars(), m.objective); ok && sol.Status == Optimal && !sol.FellBack {
+		t.Fatalf("Price answered from the anchor of a replaced key\n%s", m)
 	}
 	return priced
 }
@@ -511,7 +465,8 @@ func checkPricedSequence(t *testing.T, m *Model, objs []*Lin) (priced int) {
 // model over a sequence of objectives, as a sweep re-prices a skeleton:
 // the model's own costs, small perturbations of them, a repeat, and flat
 // costs whose tied paths leave the anchor optimal but not unique, so both
-// the anchor answer and the warm solve are exercised.
+// the anchor answer and the cold solve after a declined Price are
+// exercised.
 func TestPriceMatchesOracleSequences(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	priced, total := 0, 0

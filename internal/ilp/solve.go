@@ -14,15 +14,12 @@ const maxNodes = 100_000
 // in the solution (only Solution.FellBack tells).
 func (m *Model) Solve() (*Solution, error) { return m.solve(nil, nil) }
 
-// SolveWithReuse is Solve with a warm-start cache: when key matches the
-// snapshot stored in r, the root LP skips standard-form construction
-// and phase 1 by restoring the cached feasible tableau. The caller must
-// choose key so that equal keys imply identical constraint rows and
-// variable bounds (the objective may differ freely — phase 1 never
-// reads it, which is why a warm solve is bit-identical to a cold one).
-// The first optimal integral root under the key becomes r's anchor,
-// which Reuse.Price answers later objectives from before any model is
-// built.
+// SolveWithReuse is Solve that leaves its optimal root tableau in r: the
+// first optimal integral root under key becomes r's anchor, which
+// Reuse.Price answers later objectives from before any model is built.
+// A root solve under a new key discards the previous key's anchor. The
+// caller must choose key so that equal keys imply identical constraint
+// rows and variable bounds; the objective may differ freely.
 func (m *Model) SolveWithReuse(r *Reuse, key []int64) (*Solution, error) {
 	return m.solve(r, key)
 }

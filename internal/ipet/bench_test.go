@@ -80,7 +80,9 @@ func BenchmarkIPETSolve(b *testing.B) {
 
 // BenchmarkIPETResolve is the engine-sweep shape: one skeleton priced
 // repeatedly under varying block costs (structure identical, objective
-// different), so after the first solve every one is warm.
+// different), so after the first solve each one is priced from its
+// optimal basis and solved cold only where that vertex stops being the
+// unique optimum.
 func BenchmarkIPETResolve(b *testing.B) {
 	p := benchProblem(b)
 	s, err := NewSkeleton(p.G, p.Extra)

@@ -19,10 +19,10 @@
 // event structure left behind: when that vertex is still the unique
 // optimum, the answer needs no model and no pivot. Otherwise it
 // specializes the skeleton per scenario for (amortized) pennies and
-// warm-starts the simplex from the cached feasible basis, since phase 1
-// never reads the objective. Either way the Result is the cold solve's,
-// Pivots aside. Loop-free graphs without extra constraints bypass the
-// ILP entirely via longest-path dynamic programming.
+// solves cold, leaving its optimal basis for the next re-solve. Either
+// way the Result is the cold solve's, Pivots aside. Loop-free graphs
+// without extra constraints bypass the ILP entirely via longest-path
+// dynamic programming.
 package ipet
 
 import (
@@ -188,10 +188,10 @@ func NewSkeleton(g *cfg.Graph, extra []flow.Constraint) (*Skeleton, error) {
 	return s, nil
 }
 
-// ReuseStats reports warm-start cache hits and misses of the skeleton's
-// simplex snapshots; an answer from the optimal basis counts as a hit.
+// ReuseStats reports the skeleton's answers from the optimal basis
+// (hits) and its root solves (misses).
 //
-//paralint:testonly ipet and engine tests check that warm starts are taken
+//paralint:testonly ipet and engine tests check that re-solves are answered from the optimal basis
 func (s *Skeleton) ReuseStats() (hits, misses uint64) { return s.reuse.Stats() }
 
 // Solve prices the skeleton under the given block costs and event
@@ -226,8 +226,9 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 	// Event variables. The reuse key must determine the event rows
 	// exactly: one (block, scope) pair per scoped event, in order.
 	// Penalties live in the objective and so stay out of the key — that
-	// is what makes sweep re-solves warm. Scoped events get the variables
-	// the model build below adds for them, numbered after the skeleton's.
+	// is what lets sweep re-solves price from the optimal basis. Scoped
+	// events get the variables the model build below adds for them,
+	// numbered after the skeleton's.
 	eventVars := make([]ilp.Var, len(events))
 	reuseKey := make([]int64, 0, 2*len(events))
 	reuse := &s.reuse
@@ -242,7 +243,7 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 		li, ok := s.loopIdx[ev.Scope]
 		if !ok {
 			// A scope the skeleton does not know cannot be keyed; solve
-			// cold rather than risk a stale warm start.
+			// without reuse rather than risk a stale anchor.
 			reuse = nil
 			li = -1
 		}
