@@ -11,7 +11,10 @@
 // sequential worklists. Across analyses, the batch engine, the CLI's
 // experiment runner and scenario execution (per-task analyses and
 // simulations, SMT and PRET bounds) fan out with For under the
-// engine's worker bound, and sweep workers run their own pump.
+// engine's worker bound. The sweep driver prices its points with For
+// too; its closures share only a mutex-guarded reorder buffer that
+// emits lines by index, so its output does not depend on the schedule
+// either.
 //
 // The determinism contract: work items are independent (each index
 // writes only its own slot of a result vector, and shares only

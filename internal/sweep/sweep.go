@@ -3,8 +3,8 @@
 // (spec.SweepDoc) across a bounded worker pool and hands each result to
 // an emit callback as one line, without ever materializing the whole
 // sweep in memory — points are generated lazily, results stream out as
-// they complete, and a token window bounds how far computation may run
-// ahead of emission.
+// they complete, and a window of 4 × parallelism points bounds how far
+// computation may run ahead of emission.
 //
 // Two properties make sweeps cheap at production scale:
 //
@@ -123,13 +123,19 @@ func (s *Summary) String() string {
 		s.PrepareHits, s.PrepareMisses, s.PrepareReuse, s.PointsPerSec, s.Elapsed.Round(time.Millisecond))
 }
 
-// Run prices every point of the sweep document, calling emit once per
-// point in point order, and returns the run summary. A point that fails
-// to materialize or analyze produces a line with its error and the
-// sweep continues; Run itself fails only on a cancelled context, an
-// emit error, or an invalid document. Once ctx is cancelled no further
-// line is emitted. Memory is O(parallelism): at most a small window of
-// results is in flight or buffered for reordering at any moment.
+// Run prices every point of the sweep document and returns the run
+// summary. A point that fails to materialize or analyze produces a line
+// with its error and the sweep continues; Run itself fails only on a
+// cancelled context, an emit error, or an invalid document.
+//
+// emit is called once per point, in point order, and never
+// concurrently, though possibly from a worker goroutine rather than the
+// caller's; a sink that is not safe for concurrent use needs no lock of
+// its own. Once ctx is cancelled, or after emit fails, no further line
+// is emitted. Memory is O(parallelism): a point starts pricing only
+// while it is fewer than 4 × workers points ahead of the next line to
+// emit, so at most that many results are in flight or buffered for
+// reordering at any moment.
 func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) error) (*Summary, error) {
 	// One enumerator per run: each task set is materialized, and its
 	// fingerprint head hashed, once and shared by every point that uses
@@ -144,140 +150,80 @@ func Run(ctx context.Context, doc *spec.SweepDoc, opt Options, emit func(Line) e
 	}
 	workers := parallel.Resolve(opt.Parallelism)
 	n := pts.Points()
-	if workers > n {
-		workers = n
-	}
 	hits0, misses0 := eng.Stats()
 	start := time.Now()
 
+	// Each index prices its point and buffers the line in pending.
+	// Whichever worker finds the next line buffered becomes the one
+	// emitter and drains the consecutive run of buffered lines, calling
+	// emit outside the lock. The point at next never waits for the
+	// window, so the run always progresses; at one worker For runs
+	// inline and each point is priced and emitted in turn.
 	sum := &Summary{Points: n}
-	account := func(l Line) {
-		if l.Error != "" {
-			sum.Errors++
-		} else if opt.Manifest != nil {
-			if l.fromManifest {
-				sum.ManifestHits++
-			} else {
-				sum.ManifestMisses++
-			}
-		}
-	}
-	finish := func() {
-		hits1, misses1 := eng.Stats()
-		sum.PrepareHits = hits1 - hits0
-		sum.PrepareMisses = misses1 - misses0
-		if total := sum.PrepareHits + sum.PrepareMisses; total > 0 {
-			sum.PrepareReuse = float64(sum.PrepareHits) / float64(total)
-		}
-		sum.Elapsed = time.Since(start)
-		if secs := sum.Elapsed.Seconds(); secs > 0 {
-			sum.PointsPerSec = float64(n) / secs
-		}
-	}
-
-	if workers <= 1 {
-		// Inline path: price and emit in one loop. It stays separate from
-		// the pipeline below because at one worker the dispatcher, worker
-		// and collector goroutines only add scheduling cost: about 9% more
-		// CPU per cold 48-point sweep on a 2-vCPU x86-64 host.
-		for i := 0; i < n; i++ {
-			l := price(ctx, pts, i, eng, opt.Manifest)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			account(l)
-			if err := emit(l); err != nil {
-				return nil, err
-			}
-		}
-		finish()
-		return sum, nil
-	}
-
-	// Pipelined path: a dispatcher feeds point indices in order, workers
-	// price them, and this goroutine collects and emits. The token
-	// window keeps computation from running more than O(workers) points
-	// ahead of emission, which is what bounds the reorder buffer (and
-	// with it, sweep memory) regardless of sweep size.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	window := 4 * workers
-	tokens := make(chan struct{}, window)
-	jobs := make(chan int)
-	results := make(chan Line, workers)
-
-	go func() {
-		defer close(jobs)
-		for i := 0; i < n; i++ {
-			select {
-			case tokens <- struct{}{}:
-			case <-runCtx.Done():
-				return
-			}
-			select {
-			case jobs <- i:
-			case <-runCtx.Done():
-				return
-			}
+	var (
+		mu       sync.Mutex
+		advanced = sync.NewCond(&mu) // next moved or stop was set
+		pending  = map[int]Line{}
+		next     int
+		emitting bool
+		stop     error // first emit or context error; sticky
+	)
+	err := parallel.For(ctx, workers, n, func(i int) error {
+		mu.Lock()
+		defer mu.Unlock()
+		for stop == nil && i >= next+window {
+			advanced.Wait()
 		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results <- price(runCtx, pts, i, eng, opt.Manifest)
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-			cancel() // stop dispatch; workers drain, results closes
+		if stop != nil {
+			return stop
 		}
-	}
-	handle := func(l Line) {
-		if firstErr == nil && ctx.Err() != nil {
-			fail(ctx.Err())
+		mu.Unlock()
+		line := price(ctx, pts, i, eng, opt.Manifest)
+		mu.Lock()
+		pending[i] = line
+		if emitting {
+			return stop
 		}
-		if firstErr != nil {
-			<-tokens
-			return
-		}
-		account(l)
-		if err := emit(l); err != nil {
-			fail(err)
-		}
-		<-tokens
-	}
-	pending := make(map[int]Line, window)
-	next := 0
-	for l := range results {
-		pending[l.Index] = l
-		for {
-			buf, ok := pending[next]
+		emitting = true
+		for stop == nil {
+			l, ok := pending[next]
 			if !ok {
 				break
 			}
-			delete(pending, next)
-			next++
-			handle(buf)
+			if stop = ctx.Err(); stop == nil {
+				delete(pending, next)
+				if l.Error != "" {
+					sum.Errors++
+				} else if l.fromManifest {
+					sum.ManifestHits++
+				} else if opt.Manifest != nil {
+					sum.ManifestMisses++
+				}
+				mu.Unlock()
+				err := emit(l)
+				mu.Lock()
+				stop = err
+				next++
+			}
+			advanced.Broadcast()
 		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		emitting = false
+		return stop
+	})
+	if err != nil {
 		return nil, err
 	}
-	finish()
+	hits1, misses1 := eng.Stats()
+	sum.PrepareHits = hits1 - hits0
+	sum.PrepareMisses = misses1 - misses0
+	if total := sum.PrepareHits + sum.PrepareMisses; total > 0 {
+		sum.PrepareReuse = float64(sum.PrepareHits) / float64(total)
+	}
+	sum.Elapsed = time.Since(start)
+	if secs := sum.Elapsed.Seconds(); secs > 0 {
+		sum.PointsPerSec = float64(n) / secs
+	}
 	return sum, nil
 }
 

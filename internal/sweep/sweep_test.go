@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"paratime/internal/cachestore"
 	"paratime/internal/engine"
@@ -57,7 +59,7 @@ func ndjson(t *testing.T, doc *spec.SweepDoc, opt Options) ([]byte, *Summary) {
 }
 
 // TestOrderedByteIdentical: the ordered stream is a pure function of the
-// document — byte-identical at any parallelism, inline or pipelined.
+// document — byte-identical at any parallelism, inline or across workers.
 func TestOrderedByteIdentical(t *testing.T) {
 	ref, refSum := ndjson(t, testSweep(), Options{Parallelism: 1})
 	if refSum.Points != 4 || refSum.Errors != 0 {
@@ -197,20 +199,55 @@ func TestPointErrorsAreLines(t *testing.T) {
 	}
 }
 
-// TestEmitErrorAborts: an emit failure stops the run promptly and is the
-// returned error.
+// bigSweep is a 96-point single-task sweep over bus delays 0..95:
+// three times the reorder window at parallelism 8, so pricing must
+// wait for emission at every parallelism the tests run.
+func bigSweep() *spec.SweepDoc {
+	doc := testSweep()
+	delays := make([]int, 96)
+	for i := range delays {
+		delays[i] = i
+	}
+	doc.Axes.BusDelay = delays
+	doc.Axes.MemLatency = []int{50}
+	return doc
+}
+
+// TestEmitErrorAborts: an emit failure stops the run, is the returned
+// error, and no line is emitted after it, on the inline path and with
+// workers racing to emit.
 func TestEmitErrorAborts(t *testing.T) {
 	boom := errors.New("sink full")
-	n := 0
-	_, err := Run(context.Background(), testSweep(), Options{Parallelism: 4}, func(Line) error {
-		n++
-		if n == 2 {
-			return boom
+	for _, par := range []int{1, 2, 8} {
+		var got []Line
+		_, err := Run(context.Background(), bigSweep(), Options{Parallelism: par}, func(l Line) error {
+			got = append(got, l)
+			if len(got) == 3 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("parallelism %d: err = %v, want emit error", par, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want emit error", err)
+		checkStoppedAt(t, par, got, 3)
+	}
+}
+
+// checkStoppedAt asserts that a stopped run emitted exactly the first
+// want lines, in order, none carrying an error.
+func checkStoppedAt(t *testing.T, par int, got []Line, want int) {
+	t.Helper()
+	if len(got) != want {
+		t.Errorf("parallelism %d: %d lines emitted, want %d (none after the stop)", par, len(got), want)
+	}
+	for k, l := range got {
+		if l.Index != k {
+			t.Errorf("parallelism %d: line %d has index %d", par, k, l.Index)
+		}
+		if l.Error != "" {
+			t.Errorf("parallelism %d: point %d emitted error %q", par, l.Index, l.Error)
+		}
 	}
 }
 
@@ -226,19 +263,13 @@ func TestCancelledContext(t *testing.T) {
 
 // TestCancelStopsEmission: once the context is cancelled, Run emits no
 // further line — in particular none carrying the cancellation as a point
-// error — and returns context.Canceled, on the inline path and the
-// pipelined one.
+// error — and returns context.Canceled, on the inline path and with
+// workers racing to emit.
 func TestCancelStopsEmission(t *testing.T) {
-	doc := testSweep()
-	delays := make([]int, 32)
-	for i := range delays {
-		delays[i] = i
-	}
-	doc.Axes.BusDelay = delays
-	for _, par := range []int{1, 4} {
+	for _, par := range []int{1, 2, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []Line
-		_, err := Run(ctx, doc, Options{Parallelism: par}, func(l Line) error {
+		_, err := Run(ctx, bigSweep(), Options{Parallelism: par}, func(l Line) error {
 			got = append(got, l)
 			if len(got) == 3 {
 				cancel()
@@ -249,14 +280,7 @@ func TestCancelStopsEmission(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("parallelism %d: err = %v, want context.Canceled", par, err)
 		}
-		if len(got) != 3 {
-			t.Errorf("parallelism %d: %d lines emitted, want 3 (none after cancellation)", par, len(got))
-		}
-		for _, l := range got {
-			if l.Error != "" {
-				t.Errorf("parallelism %d: point %d emitted error %q", par, l.Index, l.Error)
-			}
-		}
+		checkStoppedAt(t, par, got, 3)
 	}
 }
 
@@ -300,30 +324,53 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-// TestLargeSweepBoundedPending exercises the pipelined path with a
-// sweep much larger than the token window and verifies ordered output
-// (a reordering bug shows as an index gap).
+// countingBackend is a manifest that never hits and counts lookups:
+// price calls Get once per started point, so gets is the number of
+// points that have begun pricing.
+type countingBackend struct{ gets atomic.Int64 }
+
+func (c *countingBackend) Get(string) (any, bool) {
+	c.gets.Add(1)
+	return nil, false
+}
+func (c *countingBackend) Put(string, any)         {}
+func (c *countingBackend) Stats() cachestore.Stats { return cachestore.Stats{} }
+func (c *countingBackend) Close() error            { return nil }
+
+// TestLargeSweepBoundedPending: on a sweep three times the reorder
+// window, no point starts pricing more than 4 × workers points ahead of
+// emission — when line k is emitted at most k + 4·workers points have
+// started — and lines arrive in order. Emitting line 0 stalls until the
+// window has filled and a little longer, so a driver that let pricing
+// run ahead would overrun the bound there.
 func TestLargeSweepBoundedPending(t *testing.T) {
-	doc := testSweep()
-	delays := make([]int, 32)
-	for i := range delays {
-		delays[i] = i
-	}
-	doc.Axes.BusDelay = delays
-	doc.Axes.MemLatency = []int{50}
-	next := 0
-	sum, err := Run(context.Background(), doc, Options{Parallelism: 8}, func(l Line) error {
-		if l.Index != next {
-			return fmt.Errorf("line %d out of order (want %d)", l.Index, next)
+	for _, par := range []int{2, 8} {
+		window := int64(4 * par)
+		manifest := &countingBackend{}
+		next := 0
+		sum, err := Run(context.Background(), bigSweep(), Options{Parallelism: par, Manifest: manifest}, func(l Line) error {
+			if l.Index != next {
+				return fmt.Errorf("line %d out of order (want %d)", l.Index, next)
+			}
+			if next == 0 {
+				deadline := time.Now().Add(10 * time.Second)
+				for manifest.gets.Load() < window && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(50 * time.Millisecond)
+			}
+			if started := manifest.gets.Load(); started > int64(next)+window {
+				return fmt.Errorf("line %d emitted with %d points started, want at most %d", next, started, int64(next)+window)
+			}
+			next++
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("parallelism %d: %v", par, err)
 		}
-		next++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Points != 32 || next != 32 {
-		t.Fatalf("saw %d of %d points", next, sum.Points)
+		if sum.Points != 96 || next != 96 || sum.ManifestMisses != 96 {
+			t.Fatalf("parallelism %d: saw %d of %d points, summary %+v", par, next, sum.Points, sum)
+		}
 	}
 }
 
