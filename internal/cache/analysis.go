@@ -157,17 +157,17 @@ type Result struct {
 	stream *Stream
 	cac    map[RefID]CAC // nil for single-level analyses
 	shift  []int         // interference age shift per set (see ReclassifyShift)
+
+	// counts tallies Classes by class. classify keeps it in step with
+	// every write to Classes, so reports read it without a map walk.
+	counts ClassCounts
 }
 
-// CountClasses tallies classifications (reporting helper).
-func (r *Result) CountClasses() map[Class]int {
-	out := map[Class]int{}
-	//paralint:unordered commutative tally; each reference increments one counter
-	for _, rc := range r.Classes {
-		out[rc.Class]++
-	}
-	return out
-}
+// ClassCounts is a classification tally indexed by Class.
+type ClassCounts [NotClassified + 1]int
+
+// CountClasses returns the number of classified references per class.
+func (r *Result) CountClasses() ClassCounts { return r.counts }
 
 // Index returns the interned-line index the result's states are built
 // over.
@@ -243,12 +243,14 @@ func (res *Result) classify(g *cfg.Graph, st *Stream) {
 		may := stateOrNew(res.MayIn, b.ID, res.idx, May).Clone()
 		for seq, r := range st.Refs[b.ID] {
 			id := RefID{Block: b.ID, Seq: seq}
-			if res.cac != nil && res.cac[id] == Never {
-				// Never reaches this level; by convention AH (costs nothing).
-				res.Classes[id] = RefClass{Class: AlwaysHit}
-			} else {
-				res.Classes[id] = res.classifyRef(b, r, must, may)
+			// A Never reference does not reach this level; by convention
+			// it is AH (costs nothing).
+			rc := RefClass{Class: AlwaysHit}
+			if res.cac == nil || res.cac[id] != Never {
+				rc = res.classifyRef(b, r, must, may)
 			}
+			res.Classes[id] = rc
+			res.counts[rc.Class]++
 			res.applyRef(must, id, r)
 			res.applyRef(may, id, r)
 		}
@@ -348,12 +350,13 @@ func (res *Result) persistentScope(b *cfg.Block, ln LineID) *cfg.Loop {
 func (res *Result) ReclassifyShift(shift []int) {
 	res.shift = shift
 	res.Classes = make(map[RefID]RefClass, len(res.Classes))
+	res.counts = ClassCounts{}
 	res.classify(res.g, res.stream)
 }
 
 // Clone returns a copy that can be independently reclassified without
-// disturbing the receiver: the classification map and interference shift
-// are copied, while the fixpoint states, line index, persistence tables,
+// disturbing the receiver: the classification map, its class tally and
+// the interference shift are copied, while the fixpoint states, line index, persistence tables,
 // graph and stream — immutable after Analyze — stay shared. When cac is
 // non-nil it replaces the retained access-classification map, so a
 // caller that clones its CAC map alongside (the batch engine's memoized

@@ -711,3 +711,56 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// walkClasses tallies r.Classes by walking the map, the reference the
+// maintained tally must match.
+func walkClasses(r *Result) ClassCounts {
+	var c ClassCounts
+	//paralint:unordered commutative tally; each reference increments one counter
+	for _, rc := range r.Classes {
+		c[rc.Class]++
+	}
+	return c
+}
+
+// TestClassCountsTrackClasses: the class tally CountClasses returns
+// equals a walk of Classes after Analyze, AnalyzeWithCAC, Clone and
+// ReclassifyShift, and reclassifying a clone leaves the original's
+// tally alone.
+func TestClassCountsTrackClasses(t *testing.T) {
+	check := func(label string, r *Result) {
+		t.Helper()
+		if got, want := r.CountClasses(), walkClasses(r); got != want {
+			t.Fatalf("%s: tally %v, walk of Classes %v", label, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		g := randomLoopNest(t, rng)
+		l1 := Config{Name: "L1", Sets: 2, Ways: 1, LineBytes: 8}
+		l2 := Config{Name: "L2", Sets: 4, Ways: 2, LineBytes: 16}
+		res, err := analyzeTwoLevel(g, FetchStream(g), l1, l2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("Analyze", res.L1)
+		check("AnalyzeWithCAC", res.L2)
+		before := res.L2.CountClasses()
+		for _, n := range []int{1, l2.Ways} {
+			c := res.L2.Clone(nil)
+			check("Clone", c)
+			shift := make([]int, l2.Sets)
+			for s := range shift {
+				shift[s] = n
+			}
+			c.ReclassifyShift(shift)
+			check("ReclassifyShift", c)
+			c.ReclassifyShift(shift)
+			check("second ReclassifyShift", c)
+			check("Clone of a reclassified result", c.Clone(nil))
+			if got := res.L2.CountClasses(); got != before {
+				t.Fatalf("reclassifying a clone moved the original's tally from %v to %v", before, got)
+			}
+		}
+	}
+}

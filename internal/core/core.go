@@ -14,8 +14,8 @@ package core
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strconv"
-	"strings"
 
 	"paratime/internal/cache"
 	"paratime/internal/cfg"
@@ -86,6 +86,36 @@ type Task struct {
 	Name  string
 	Prog  *isa.Program
 	Facts *flow.Facts
+
+	// content caches the task's part of PrepareKey (see Keyed) for the
+	// Prog and Facts it was computed from.
+	content      string
+	contentProg  *isa.Program
+	contentFacts *flow.Facts
+}
+
+// Keyed returns t with the task's part of its PrepareKey — the program
+// and flow-fact fingerprints — computed once and cached, so PrepareKey
+// hashes neither again. A run that prices one task under many systems
+// (a sweep's task set) keys it once. *t.Prog and *t.Facts must not
+// change afterwards: PrepareKey trusts the cache while the task still
+// points at the same Prog and Facts, and would key an edited program
+// by its old content. Pointing the task at another Prog or Facts drops
+// the cache.
+func Keyed(t Task) Task {
+	t.content = string(appendTaskKey(nil, t))
+	t.contentProg, t.contentFacts = t.Prog, t.Facts
+	return t
+}
+
+// appendTaskKey appends the task's PrepareKey fields: the program
+// fingerprint, then the length-prefixed flow-fact fingerprint.
+func appendTaskKey(b []byte, t Task) []byte {
+	prog, facts := t.Prog.Fingerprint(), t.Facts.Fingerprint()
+	b = slices.Grow(b, len(prog)+len(facts)+24)
+	b = append(b, prog...)
+	b = append(b, '|')
+	return appendLenString(b, facts)
 }
 
 // RefOrigin says which L1 a merged-stream reference came through.
@@ -258,7 +288,10 @@ func (a *Analysis) RecomputeL2() error {
 // clone's L2 result outright, so all of interference, bypass, locking
 // and ComputeWCET on the clone leave the receiver — and every other
 // clone — untouched, which is what lets the batch engine hand one
-// memoized Prepare result to many concurrent consumers. The skeleton is
+// memoized Prepare result to many concurrent consumers that adjust it
+// (engine.PrepareAll). Consumers that only price need no clone:
+// ComputeWCET only reads the classification state, so engine.AnalyzeAll
+// prices a shallow copy that shares it read-only. The skeleton is
 // safe for the clones' concurrent ComputeWCET calls and lets the
 // engine's joint/partition/lock/bus sweeps skip rebuilding identical ILP
 // structure, and re-solving it where the skeleton's optimal basis still
@@ -286,13 +319,15 @@ func (a *Analysis) Clone() *Analysis {
 //
 // The key is a process-local memo key, never persisted, so its bytes may
 // change between builds. Every variable-length part is length-prefixed,
-// which keeps it injective.
+// which keeps it injective. A Keyed task contributes its cached task
+// part, byte for byte what hashing it again would give.
 func PrepareKey(task Task, sys SystemConfig) string {
-	prog, facts := task.Prog.Fingerprint(), task.Facts.Fingerprint()
-	b := make([]byte, 0, len(prog)+len(facts)+128)
-	b = append(b, prog...)
-	b = append(b, '|')
-	b = appendLenString(b, facts)
+	var b []byte
+	if task.content != "" && task.contentProg == task.Prog && task.contentFacts == task.Facts {
+		b = append(make([]byte, 0, len(task.content)+128), task.content...)
+	} else {
+		b = appendTaskKey(make([]byte, 0, 256), task)
+	}
 	b = appendCacheKey(b, sys.Mem.L1I)
 	b = appendCacheKey(b, sys.Mem.L1D)
 	if sys.Mem.L2 != nil {
@@ -494,17 +529,28 @@ func Analyze(task Task, sys SystemConfig) (*Analysis, error) {
 
 // ClassSummary renders classification counts of all analyzed levels.
 func (a *Analysis) ClassSummary() string {
-	var sb strings.Builder
-	line := func(name string, r *cache.Result) {
-		if r == nil {
-			return
+	b := make([]byte, 0, 96)
+	for _, l := range [...]struct {
+		name string
+		r    *cache.Result
+	}{{"L1I", a.L1I}, {"L1D", a.L1D}, {"L2", a.L2}} {
+		if l.r == nil {
+			continue
 		}
-		c := r.CountClasses()
-		fmt.Fprintf(&sb, "%s[AH=%d AM=%d PS=%d NC=%d] ",
-			name, c[cache.AlwaysHit], c[cache.AlwaysMiss], c[cache.Persistent], c[cache.NotClassified])
+		c := l.r.CountClasses()
+		if len(b) > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, l.name...)
+		b = append(b, "[AH="...)
+		b = strconv.AppendInt(b, int64(c[cache.AlwaysHit]), 10)
+		b = append(b, " AM="...)
+		b = strconv.AppendInt(b, int64(c[cache.AlwaysMiss]), 10)
+		b = append(b, " PS="...)
+		b = strconv.AppendInt(b, int64(c[cache.Persistent]), 10)
+		b = append(b, " NC="...)
+		b = strconv.AppendInt(b, int64(c[cache.NotClassified]), 10)
+		b = append(b, ']')
 	}
-	line("L1I", a.L1I)
-	line("L1D", a.L1D)
-	line("L2", a.L2)
-	return strings.TrimSpace(sb.String())
+	return string(b)
 }

@@ -5,15 +5,22 @@
 // everything core.Prepare computes — under a content key, so repeated
 // configurations (the same task priced under several bus arbiters, or
 // re-analyzed by successive experiments) reuse the prepared artefacts
-// instead of recomputing them. Because every clone of a memoized
+// instead of recomputing them. Because every copy of a memoized
 // analysis shares one ipet.Skeleton, sweep re-pricings also share its
 // optimal-basis anchor: the ILP structure is built once per task, not
 // once per scenario, and a re-pricing whose vertex stays the unique
 // optimum needs no pivot.
 //
+// PrepareAll clones, AnalyzeAll shares read-only. PrepareAll's callers
+// go on to reclassify, bypass or lock, so each gets a private
+// core.Analysis.Clone. AnalyzeAll only prices: each request prices a
+// shallow copy of the memo entry that carries its own task, system and
+// WCET outputs and shares the classification state with the memo, so
+// its results must not be changed.
+//
 // Determinism is preserved by construction: each request's analysis runs
-// the same single-threaded code the sequential path runs, on a private
-// clone of the (immutable-prefix-sharing) prepared artefacts, and
+// the same single-threaded code the sequential path runs, on its own
+// copy of the (immutable-prefix-sharing) prepared artefacts, and
 // results are returned in request order. The engine therefore yields
 // bit-identical WCETs to looping core.Analyze, at any worker count.
 //
@@ -22,7 +29,7 @@
 // a size-bounded LRU caps memory for long sweeps (NewWithCache), and
 // correctness never depends on the backend — a backend that declines or
 // evicts entries merely costs a recomputation, because Prepare is
-// deterministic and every consumer gets a private clone either way.
+// deterministic and no consumer ever writes to a memo entry.
 package engine
 
 import (
@@ -120,12 +127,11 @@ func (e *Engine) Reset() {
 	}
 }
 
-// prepare returns a private clone of the memoized prepared analysis for
-// the request, computing and caching it on first use. The clone carries
-// the request's own task identity and full system configuration (the
-// memo key deliberately excludes pipeline and bus/memory latencies —
-// see core.PrepareKey).
-func (e *Engine) prepare(task core.Task, sys core.SystemConfig) (*core.Analysis, error) {
+// memoized returns the memoized prepared analysis for the request,
+// computing and caching it on first use. The result is the memo entry
+// itself: callers copy it (Clone, or a shallow copy for read-only
+// pricing) and never change it.
+func (e *Engine) memoized(task core.Task, sys core.SystemConfig) (*core.Analysis, error) {
 	key := core.PrepareKey(task, sys)
 	e.mu.Lock()
 	var ent *memoEntry
@@ -157,10 +163,42 @@ func (e *Engine) prepare(task core.Task, sys core.SystemConfig) (*core.Analysis,
 		}
 		return nil, ent.err
 	}
-	c := ent.a.Clone()
+	return ent.a, nil
+}
+
+// prepare returns a private clone of the memoized prepared analysis for
+// the request. The clone carries the request's own task identity and
+// full system configuration (the memo key deliberately excludes
+// pipeline and bus/memory latencies — see core.PrepareKey).
+func (e *Engine) prepare(task core.Task, sys core.SystemConfig) (*core.Analysis, error) {
+	a, err := e.memoized(task, sys)
+	if err != nil {
+		return nil, err
+	}
+	c := a.Clone()
 	c.Task = task
 	c.Sys = sys
 	return c, nil
+}
+
+// price returns a fully priced analysis for the request on a shallow
+// copy of the memoized entry: the copy carries the request's own task,
+// system and WCET outputs, and shares everything else with the entry
+// and with every other priced copy, read-only. ComputeWCET only reads
+// the classification state (CAC, Bypass, L2Override, L2, ExtraEvents),
+// so no deep copy is needed to price it.
+func (e *Engine) price(task core.Task, sys core.SystemConfig) (*core.Analysis, error) {
+	a, err := e.memoized(task, sys)
+	if err != nil {
+		return nil, err
+	}
+	c := *a
+	c.Task = task
+	c.Sys = sys
+	if err := c.ComputeWCET(); err != nil {
+		return nil, fmt.Errorf("task %s: %w", task.Name, err)
+	}
+	return &c, nil
 }
 
 // batch runs one analysis step per request across the pool, returning
@@ -196,21 +234,22 @@ func (e *Engine) PrepareAll(ctx context.Context, reqs []Request) ([]*core.Analys
 // Results are in request order and bit-identical to calling core.Analyze
 // sequentially per request. A cancelled ctx stops dispatch and returns
 // ctx.Err().
+//
+// The results are read-only. Each carries its own Task, Sys and WCET
+// outputs (WCET, IPET, Pipe), but shares its classification state (the
+// L2 result, CAC, Bypass, L2Override, ExtraEvents) with the memo and
+// with every other result of the same core.PrepareKey. Reading them and
+// calling ComputeWCET again are safe; a caller that reclassifies,
+// bypasses or locks must use PrepareAll, or Clone a result first.
 func (e *Engine) AnalyzeAll(ctx context.Context, reqs []Request) ([]*core.Analysis, error) {
 	return e.batch(ctx, reqs, func(r Request) (*core.Analysis, error) {
-		a, err := e.prepare(r.Task, r.Sys)
-		if err != nil {
-			return nil, err
-		}
-		if err := a.ComputeWCET(); err != nil {
-			return nil, fmt.Errorf("task %s: %w", r.Task.Name, err)
-		}
-		return a, nil
+		return e.price(r.Task, r.Sys)
 	})
 }
 
 // Analyze is the single-request convenience: one fully priced analysis,
-// still sharing the engine's memo cache.
+// still sharing the engine's memo cache. Like AnalyzeAll's, the result
+// is read-only.
 func (e *Engine) Analyze(ctx context.Context, task core.Task, sys core.SystemConfig) (*core.Analysis, error) {
 	as, err := e.AnalyzeAll(ctx, []Request{{Task: task, Sys: sys}})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -160,6 +161,62 @@ func TestCloneIsolation(t *testing.T) {
 	}
 	if as[0].WCET <= as[1].WCET {
 		t.Errorf("corrupted clone WCET %d not above solo %d", as[0].WCET, as[1].WCET)
+	}
+	checkPricedSolo(t, e, task, sys, ref.WCET)
+}
+
+// checkPricedSolo: after a PrepareAll clone of task was reclassified,
+// an AnalyzeAll of the same key, which prices the memo entry itself,
+// still gives the solo WCET.
+func checkPricedSolo(t *testing.T, e *Engine, task core.Task, sys core.SystemConfig, solo int64) {
+	t.Helper()
+	as, err := e.AnalyzeAll(context.Background(), Requests([]core.Task{task}, sys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as[0].WCET != solo {
+		t.Errorf("AnalyzeAll after a reclassified clone: WCET %d != solo %d (mutation reached the memo)", as[0].WCET, solo)
+	}
+}
+
+// TestAnalyzeAllSharesClassification: AnalyzeAll prices shallow copies
+// of the memo entry. Results of one key share its L2 result and CAC
+// map, read-only, yet each carries its own system and WCET. Eight
+// workers price the shared entry at once, so -race sees the sharing
+// even on one CPU.
+func TestAnalyzeAllSharesClassification(t *testing.T) {
+	e := New(8)
+	task := workload.CRC(8, workload.Slot(0))
+	reqs := make([]Request, 8)
+	for i := range reqs {
+		sys := testSys()
+		sys.Mem.BusDelay = 5 * i // excluded from the memo key
+		reqs[i] = Request{Task: task, Sys: sys}
+	}
+	as, err := e.AnalyzeAll(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range as {
+		if a.L2 == nil || a.L2 != as[0].L2 {
+			t.Fatalf("request %d does not share request 0's L2 result", i)
+		}
+		if reflect.ValueOf(a.CAC).UnsafePointer() != reflect.ValueOf(as[0].CAC).UnsafePointer() {
+			t.Errorf("request %d does not share request 0's CAC map", i)
+		}
+		if i > 0 && (a == as[0] || a.IPET == as[0].IPET) {
+			t.Fatalf("request %d shares request 0's priced outputs", i)
+		}
+		if a.Sys.Mem.BusDelay != reqs[i].Sys.Mem.BusDelay {
+			t.Errorf("request %d carries bus delay %d, want %d", i, a.Sys.Mem.BusDelay, reqs[i].Sys.Mem.BusDelay)
+		}
+		ref, err := core.Analyze(task, reqs[i].Sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.WCET != ref.WCET {
+			t.Errorf("request %d: shared WCET %d != direct %d", i, a.WCET, ref.WCET)
+		}
 	}
 }
 
@@ -400,6 +457,7 @@ func TestBackendsPreserveCloneIsolation(t *testing.T) {
 			if as[0].WCET <= as[1].WCET {
 				t.Errorf("corrupted clone WCET %d not above solo %d", as[0].WCET, as[1].WCET)
 			}
+			checkPricedSolo(t, e, task, sys, ref.WCET)
 		})
 	}
 }

@@ -56,6 +56,12 @@ type Lin struct {
 // NewLin returns an empty linear expression.
 func NewLin() *Lin { return &Lin{} }
 
+// NewLinCap returns an empty linear expression with room for n terms:
+// adding up to n terms in variable order allocates nothing more.
+func NewLinCap(n int) *Lin {
+	return &Lin{vars: make([]Var, 0, n), coef: make([]rat64, 0, n)}
+}
+
 // Len returns the number of (nonzero) terms.
 func (l *Lin) Len() int { return len(l.vars) }
 

@@ -53,9 +53,10 @@ type Event struct {
 
 // Result is the outcome of a WCET computation.
 type Result struct {
-	WCET        int64
-	BlockCounts map[cfg.BlockID]int64
-	EdgeCounts  map[int]int64
+	WCET int64
+	// BlockCounts is indexed by block ID and EdgeCounts by edge ID.
+	BlockCounts []int64
+	EdgeCounts  []int64
 	EventCounts []int64 // aligned with the events passed to Solve
 
 	// ILP statistics. A loop-free graph solved by the longest-path fast
@@ -199,27 +200,34 @@ func (s *Skeleton) ReuseStats() (hits, misses uint64) { return s.reuse.Stats() }
 // block ID (block IDs equal RPO positions), the form the pipeline layer
 // produces. It may be called concurrently.
 func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
-	if s.dag {
-		scoped := false
-		for i := range events {
-			if events[i].Scope != nil {
-				scoped = true
-				break
-			}
+	nscoped := 0
+	for i := range events {
+		if events[i].Scope != nil {
+			nscoped++
 		}
-		if !scoped {
-			if res, ok := s.solveDAG(cost, events); ok {
-				return res, nil
-			}
+	}
+	if s.dag && nscoped == 0 {
+		if res, ok := s.solveDAG(cost, events); ok {
+			return res, nil
 		}
 	}
 	g := s.g
 	nbase := s.base.NumVars()
 
-	obj := ilp.NewLin()
+	// The objective is built in variable order at its final size: block
+	// costs with the per-execution charges folded in, then one term per
+	// scoped event.
+	obj := ilp.NewLinCap(len(g.Blocks) + nscoped)
 	for _, b := range g.Blocks {
 		if c := cost[b.ID]; c != 0 {
 			obj.AddInt(s.blockVar[b.ID], int64(c))
+		}
+	}
+	eventVars := make([]ilp.Var, len(events))
+	for i, ev := range events {
+		if ev.Scope == nil {
+			obj.AddInt(s.blockVar[ev.Block], ev.Penalty)
+			eventVars[i] = -1
 		}
 	}
 
@@ -229,15 +237,11 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 	// is what lets sweep re-solves price from the optimal basis. Scoped
 	// events get the variables the model build below adds for them,
 	// numbered after the skeleton's.
-	eventVars := make([]ilp.Var, len(events))
-	reuseKey := make([]int64, 0, 2*len(events))
+	reuseKey := make([]int64, 0, 2*nscoped)
 	reuse := &s.reuse
 	nvars := nbase
 	for i, ev := range events {
 		if ev.Scope == nil {
-			// Per-execution charge: fold into the objective directly.
-			obj.AddInt(s.blockVar[ev.Block], ev.Penalty)
-			eventVars[i] = -1
 			continue
 		}
 		li, ok := s.loopIdx[ev.Scope]
@@ -325,14 +329,11 @@ func (s *Skeleton) Solve(cost []int, events []Event) (*Result, error) {
 // vector x; eventVars holds each scoped event's variable and -1 for a
 // per-execution event, which counts its block's executions.
 func (s *Skeleton) counts(res *Result, x []int64, events []Event, eventVars []ilp.Var) {
-	g := s.g
-	res.BlockCounts = make(map[cfg.BlockID]int64, len(g.Blocks))
-	res.EdgeCounts = make(map[int]int64, len(g.Edges))
-	res.EventCounts = make([]int64, len(events))
-	for _, b := range g.Blocks {
+	s.allocCounts(res, len(events))
+	for _, b := range s.g.Blocks {
 		res.BlockCounts[b.ID] = x[s.blockVar[b.ID]]
 	}
-	for _, e := range g.Edges {
+	for _, e := range s.g.Edges {
 		res.EdgeCounts[e.ID] = x[s.edgeVar[e.ID]]
 	}
 	for i, mv := range eventVars {
@@ -342,6 +343,16 @@ func (s *Skeleton) counts(res *Result, x []int64, events []Event, eventVars []il
 			res.EventCounts[i] = res.BlockCounts[events[i].Block]
 		}
 	}
+}
+
+// allocCounts gives res zeroed block, edge and event counts over one
+// backing array.
+func (s *Skeleton) allocCounts(res *Result, nevents int) {
+	nb, ne := len(s.g.Blocks), len(s.g.Edges)
+	all := make([]int64, nb+ne+nevents)
+	res.BlockCounts = all[:nb:nb]
+	res.EdgeCounts = all[nb : nb+ne : nb+ne]
+	res.EventCounts = all[nb+ne:]
 }
 
 // solveDAG computes the loop-free case by longest-path dynamic
@@ -390,20 +401,12 @@ func (s *Skeleton) solveDAG(cost []int, events []Event) (*Result, bool) {
 		return nil, false
 	}
 	res := &Result{
-		WCET:        best[g.Exit.ID],
-		BlockCounts: make(map[cfg.BlockID]int64, len(g.Blocks)),
-		EdgeCounts:  make(map[int]int64, len(g.Edges)),
-		EventCounts: make([]int64, len(events)),
-		Vars:        s.base.NumVars(),
-		Cons:        s.base.NumCons(),
-		Nodes:       1,
+		WCET:  best[g.Exit.ID],
+		Vars:  s.base.NumVars(),
+		Cons:  s.base.NumCons(),
+		Nodes: 1,
 	}
-	for _, b := range g.Blocks {
-		res.BlockCounts[b.ID] = 0
-	}
-	for _, e := range g.Edges {
-		res.EdgeCounts[e.ID] = 0
-	}
+	s.allocCounts(res, len(events))
 	for b := g.Exit; ; {
 		res.BlockCounts[b.ID] = 1
 		e := via[b.ID]

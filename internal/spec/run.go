@@ -233,16 +233,31 @@ func Run(ctx context.Context, s *Scenario, eng *engine.Engine) (*Report, error) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if eng == nil {
-		eng = engine.New(0)
+	tasks, err := buildTasks(s.Tasks)
+	if err != nil {
+		return nil, err
 	}
-	tasks := make([]core.Task, len(s.Tasks))
-	for i := range s.Tasks {
-		t, err := s.Tasks[i].BuildTask()
+	return run(ctx, s, eng, tasks)
+}
+
+// buildTasks materializes every task of a scenario.
+func buildTasks(specs []TaskSpec) ([]core.Task, error) {
+	tasks := make([]core.Task, len(specs))
+	for i := range specs {
+		t, err := specs[i].BuildTask()
 		if err != nil {
 			return nil, err
 		}
 		tasks[i] = t
+	}
+	return tasks, nil
+}
+
+// run is Run after validation and the task build: tasks are s.Tasks
+// materialized, and run only reads them.
+func run(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task) (*Report, error) {
+	if eng == nil {
+		eng = engine.New(0)
 	}
 	sys, err := s.System.BuildSystem()
 	if err != nil {

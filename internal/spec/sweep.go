@@ -13,6 +13,7 @@ package spec
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding"
 	"encoding/json"
@@ -22,6 +23,8 @@ import (
 	"strings"
 	"sync"
 
+	"paratime/internal/core"
+	"paratime/internal/engine"
 	"paratime/internal/workload"
 )
 
@@ -94,9 +97,10 @@ type sweepAxis struct {
 // SweepPoints enumerates the points of one SweepDoc for one run. It
 // builds the axes once and materializes each taskSets value at most
 // once, on first use; every point of that set shares the same read-only
-// []TaskSpec, and the set's fingerprint head is hashed once too. It is
-// safe for concurrent use. Its caches go stale if the document is
-// edited, so callers create one per run.
+// []TaskSpec. The set's fingerprint head is hashed once, and Run builds
+// and keys its []core.Task once, too. It is safe for concurrent use.
+// Its caches go stale if the document is edited, so callers create one
+// per run.
 type SweepPoints struct {
 	doc  *SweepDoc
 	axes []sweepAxis
@@ -106,12 +110,17 @@ type SweepPoints struct {
 	sets []taskSet
 }
 
-// taskSet is one lazily materialized taskSets value and the sha256
-// midstate of its points' shared {spec,name,tasks} encoding prefix.
+// taskSet is one lazily materialized taskSets value, its built and
+// Keyed tasks, and the sha256 midstate of its points' shared
+// {spec,name,tasks} encoding prefix.
 type taskSet struct {
 	once  sync.Once
 	specs []TaskSpec
 	err   error
+
+	buildOnce sync.Once
+	tasks     []core.Task
+	buildErr  error
 
 	headOnce sync.Once
 	head     []byte
@@ -287,26 +296,36 @@ func (e *SweepPoints) Point(i int) (*SweepPoint, error) {
 	return pt, nil
 }
 
+// setOf returns the task set of a point that e.Point returned, and
+// fails for a point that some other enumerator returned.
+func (e *SweepPoints) setOf(pt *SweepPoint) (*taskSet, error) {
+	if pt.Index < 0 || pt.Index >= e.n {
+		return nil, fmt.Errorf("spec: sweep point %d outside [0,%d)", pt.Index, e.n)
+	}
+	ts, specs := &e.sets[0], e.doc.Base.Tasks
+	if len(e.doc.Axes.TaskSets) > 0 {
+		v := pt.Index / (e.n / len(e.sets)) // the taskSets axis varies slowest
+		ts = &e.sets[v]
+		var err error
+		if specs, err = ts.taskSpecs(e.doc.Axes.TaskSets[v]); err != nil {
+			return nil, err
+		}
+	}
+	if got := pt.Scenario.Tasks; len(got) != len(specs) || len(got) > 0 && &got[0] != &specs[0] {
+		return nil, fmt.Errorf("spec: sweep point %d (%s) was not enumerated by this SweepPoints", pt.Index, pt.ID)
+	}
+	return ts, nil
+}
+
 // Fingerprint returns pt.Scenario.Fingerprint() for a point that e.Point
 // returned (and so validated). All points of one task set share the
 // canonical encoding's {spec,name,tasks} prefix, so e hashes it once per
 // set and keeps the sha256 midstate; each call restores it and hashes
 // only the point's {system,mode,sim,explore} suffix.
 func (e *SweepPoints) Fingerprint(pt *SweepPoint) (string, error) {
-	if pt.Index < 0 || pt.Index >= e.n {
-		return "", fmt.Errorf("spec: sweep point %d outside [0,%d)", pt.Index, e.n)
-	}
-	ts, tasks := &e.sets[0], e.doc.Base.Tasks
-	if len(e.doc.Axes.TaskSets) > 0 {
-		v := pt.Index / (e.n / len(e.sets)) // the taskSets axis varies slowest
-		ts = &e.sets[v]
-		var err error
-		if tasks, err = ts.taskSpecs(e.doc.Axes.TaskSets[v]); err != nil {
-			return "", err
-		}
-	}
-	if got := pt.Scenario.Tasks; len(got) != len(tasks) || len(got) > 0 && &got[0] != &tasks[0] {
-		return "", fmt.Errorf("spec: sweep point %d (%s) was not enumerated by this SweepPoints", pt.Index, pt.ID)
+	ts, err := e.setOf(pt)
+	if err != nil {
+		return "", err
 	}
 	ts.headOnce.Do(func() {
 		h := sha256.New()
@@ -322,6 +341,32 @@ func (e *SweepPoints) Fingerprint(pt *SweepPoint) (string, error) {
 		return "", err
 	}
 	return pt.Scenario.fingerprintTail(h)
+}
+
+// Run returns Run(ctx, pt.Scenario, eng) for a point that e.Point
+// returned, without validating the point again (Point did) or
+// rebuilding its tasks: e builds each task set once, keys its tasks
+// (core.Keyed), and hands every point of the set the same read-only
+// []core.Task, so the engine sees the same programs at every point.
+func (e *SweepPoints) Run(ctx context.Context, pt *SweepPoint, eng *engine.Engine) (*Report, error) {
+	ts, err := e.setOf(pt)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	ts.buildOnce.Do(func() {
+		if ts.tasks, ts.buildErr = buildTasks(pt.Scenario.Tasks); ts.buildErr == nil {
+			for i := range ts.tasks {
+				ts.tasks[i] = core.Keyed(ts.tasks[i])
+			}
+		}
+	})
+	if ts.buildErr != nil {
+		return nil, ts.buildErr
+	}
+	return run(ctx, pt.Scenario, eng, ts.tasks)
 }
 
 // Validate checks the sweep document: schema versions, axis bounds and

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +10,8 @@ import (
 	"sync"
 	"testing"
 
+	"paratime/internal/core"
+	"paratime/internal/engine"
 	"paratime/internal/workload"
 )
 
@@ -595,6 +599,108 @@ func BenchmarkSweepFingerprint(b *testing.B) {
 			}
 			if _, err := pts.Fingerprint(pt); err != nil {
 				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestSweepPointsRun: for every point of every fingerprintDocs sweep,
+// SweepPoints.Run reports byte for byte what Run reports for the
+// point's scenario, and it refuses a point from another enumerator.
+func TestSweepPointsRun(t *testing.T) {
+	ctx := context.Background()
+	for name, d := range fingerprintDocs(t) {
+		pts := d.Enumerate()
+		eng, ref := engine.New(1), engine.New(1)
+		for i := 0; i < pts.Points(); i++ {
+			pt, err := pts.Point(i)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := pts.Run(ctx, pt, eng)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, pt.ID, err)
+			}
+			want, err := Run(ctx, pt.Scenario, ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb, _ := got.Encode()
+			wb, _ := want.Encode()
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("%s %s: SweepPoints.Run report\n%s\nRun report\n%s", name, pt.ID, gb, wb)
+			}
+		}
+	}
+	d := threeSetSweep()
+	foreign, err := d.Point(20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Enumerate().Run(ctx, foreign, nil); err == nil || !strings.Contains(err.Error(), "not enumerated by this SweepPoints") {
+		t.Errorf("foreign point: err = %v", err)
+	}
+}
+
+// TestSweepPointsRunSharesPrograms: every point of one task set reaches
+// the mode's analysis with the same built, Keyed tasks, so the engine
+// sees one *isa.Program per task and keys it without hashing it again
+// (fewer allocations); the keys equal those of freshly built tasks. It records the tasks by
+// wrapping solo's row of the mode table.
+func TestSweepPointsRunSharesPrograms(t *testing.T) {
+	m := modeOf(KindSolo)
+	orig := m.run
+	defer func() { m.run = orig }()
+	var seen []core.Task
+	m.run = func(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, sys core.SystemConfig, rep *Report) error {
+		seen = tasks
+		return orig(ctx, s, eng, tasks, sys, rep)
+	}
+	for name, d := range map[string]*SweepDoc{"three-set": threeSetSweep(), "no-taskSets": fingerprintDocs(t)["no-taskSets"]} {
+		pts := d.Enumerate()
+		perSet := pts.Points() / max(1, len(d.Axes.TaskSets))
+		eng := engine.New(1)
+		var first, setFirst []core.Task
+		for i := 0; i < pts.Points(); i++ {
+			pt, err := pts.Point(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pts.Run(context.Background(), pt, eng); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = seen
+			}
+			if i%perSet == 0 {
+				setFirst = seen
+			}
+			for j := range seen {
+				if seen[j].Prog != setFirst[j].Prog {
+					t.Errorf("%s: point %d task %d has its own program, not its set's", name, i, j)
+				}
+			}
+			if i >= perSet && seen[0].Prog == first[0].Prog {
+				t.Errorf("%s: point %d shares another set's program", name, i)
+			}
+			plain, err := buildTasks(pt.Scenario.Tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := pt.Scenario.System.BuildSystem()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range seen {
+				if k, want := core.PrepareKey(seen[j], sys), core.PrepareKey(plain[j], sys); k != want {
+					t.Errorf("%s point %d task %d: set key %q, fresh key %q", name, i, j, k, want)
+				}
+			}
+			// A keyed task skips the fingerprints, and with them their
+			// allocations.
+			keyed := testing.AllocsPerRun(5, func() { core.PrepareKey(seen[0], sys) })
+			if fresh := testing.AllocsPerRun(5, func() { core.PrepareKey(plain[0], sys) }); keyed >= fresh {
+				t.Fatalf("%s point %d: keying the set's task allocates %v times, as many as a fresh task's %v: the set's tasks are not keyed", name, i, keyed, fresh)
 			}
 		}
 	}

@@ -115,3 +115,23 @@ func BenchmarkSweepIncremental(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSweepTaskSets is the shape of perfbench's sweep workload at
+// fixed axis values: three task sets ("suite", "fib24+crc16",
+// "matmult4+bsort12+fir16x4") × 4 bus delays × 4 memory latencies, 48
+// points priced one at a time through a fresh one-worker engine per op.
+// Each set is prepared once, so the op is dominated by what every point
+// repeats: building and keying its tasks, copying the memo entry,
+// pricing, and formatting its report.
+func BenchmarkSweepTaskSets(b *testing.B) {
+	doc := benchSweep()
+	doc.Axes = spec.SweepAxes{
+		TaskSets:   []string{"suite", "fib24+crc16", "matmult4+bsort12+fir16x4"},
+		BusDelay:   []int{3, 9, 17, 40},
+		MemLatency: []int{25, 60, 90, 150},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runBench(b, doc, Options{Engine: engine.New(1), Parallelism: 1})
+	}
+}

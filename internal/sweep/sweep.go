@@ -11,10 +11,14 @@
 //   - Differential artefact reuse. All points run through one batch
 //     engine, so points sharing a (task, system-prefix) identity — the
 //     same core.PrepareKey — reuse one memoized Prepare/Skeleton/
-//     Compiled artefact via the engine's clone-sharing contract. A
-//     sweep that varies only parameters outside the key (bus delays,
-//     memory latencies) prepares each task once, no matter how many
-//     points price it. The summary reports the measured reuse ratio.
+//     Compiled artefact: a point's analysis prices a shallow copy of
+//     the memo entry and shares its classification state read-only
+//     (engine.AnalyzeAll). A sweep that varies only parameters outside
+//     the key (bus delays, memory latencies) prepares each task once,
+//     no matter how many points price it. Each task set is also built,
+//     and its programs fingerprinted for the key, once per run
+//     (spec.SweepPoints.Run), so a point does only its own pricing.
+//     The summary reports the measured reuse ratio.
 //
 //   - Incremental re-analysis. When a manifest backend is configured,
 //     each point's report is persisted under its scenario content
@@ -260,7 +264,7 @@ func price(ctx context.Context, pts *spec.SweepPoints, idx int, eng *engine.Engi
 			}
 		}
 	}
-	rep, err := spec.Run(ctx, pt.Scenario, eng)
+	rep, err := pts.Run(ctx, pt, eng)
 	if err != nil {
 		line.Error = err.Error()
 		return line

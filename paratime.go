@@ -261,6 +261,10 @@ func Prepare(task Task, sys SystemConfig) (*Analysis, error) { return core.Prepa
 // prepare prefix (CFG, flow bounds, cache classification) by content, so
 // sweeps over bus arbiters or repeated experiment configurations reuse
 // prepared artefacts. Results are bit-identical to the sequential path.
+// The analyses AnalyzeAll and Analyze return are read-only: they share
+// their cache classification state with the memo and with each other.
+// To adjust one (interference, bypass, locking), use PrepareAll, or
+// Clone the analysis first.
 type Engine = engine.Engine
 
 // AnalysisRequest is one (Task, SystemConfig) unit of batch analysis.
