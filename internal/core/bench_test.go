@@ -67,3 +67,21 @@ func BenchmarkPrepareKey(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrepareKeyKeyed is BenchmarkPrepareKey over Keyed tasks, the
+// key a sweep point's memo lookup builds: no fingerprinting, only the
+// key itself.
+func BenchmarkPrepareKeyKeyed(b *testing.B) {
+	sys := core.DefaultSystem()
+	tasks := workload.Suite()
+	for i := range tasks {
+		tasks[i] = core.Keyed(tasks[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, task := range tasks {
+			_ = core.PrepareKey(task, sys)
+		}
+	}
+}

@@ -9,13 +9,23 @@
 // artefact up to cache classifications; ComputeWCET prices the pipeline
 // and solves IPET. The shared-cache interference analyses in
 // internal/interfere re-classify the L2 result between the two phases.
+//
+// ComputeWCET prices from a pricing plan: the classification compiled
+// into one dense row per instruction, holding each reference's L1 class
+// and scope and the shape of its miss chain, but no latency. An analysis
+// that CompilePlan has frozen carries its plan, and every shallow copy
+// shares it (the batch engine compiles one per memo entry, after
+// Prepare); any other analysis compiles a plan for each ComputeWCET
+// call, so reclassification between calls is always seen. Clone drops
+// the plan, because clones exist to be reclassified.
 package core
 
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"strconv"
+	"strings"
+	"sync"
 
 	"paratime/internal/cache"
 	"paratime/internal/cfg"
@@ -103,19 +113,24 @@ type Task struct {
 // by its old content. Pointing the task at another Prog or Facts drops
 // the cache.
 func Keyed(t Task) Task {
-	t.content = string(appendTaskKey(nil, t))
+	var b strings.Builder
+	writeTaskKey(&b, t, 0)
+	t.content = b.String()
 	t.contentProg, t.contentFacts = t.Prog, t.Facts
 	return t
 }
 
-// appendTaskKey appends the task's PrepareKey fields: the program
-// fingerprint, then the length-prefixed flow-fact fingerprint.
-func appendTaskKey(b []byte, t Task) []byte {
+// writeTaskKey writes the task's PrepareKey fields — the program
+// fingerprint, then the length-prefixed flow-fact fingerprint — to b,
+// growing it first by their length plus extra bytes.
+func writeTaskKey(b *strings.Builder, t Task, extra int) {
 	prog, facts := t.Prog.Fingerprint(), t.Facts.Fingerprint()
-	b = slices.Grow(b, len(prog)+len(facts)+24)
-	b = append(b, prog...)
-	b = append(b, '|')
-	return appendLenString(b, facts)
+	var d [24]byte
+	mid := append(strconv.AppendInt(append(d[:0], '|'), int64(len(facts)), 10), ':')
+	b.Grow(len(prog) + len(mid) + len(facts) + extra)
+	b.WriteString(prog)
+	b.Write(mid)
+	b.WriteString(facts)
 }
 
 // RefOrigin says which L1 a merged-stream reference came through.
@@ -176,6 +191,10 @@ type Analysis struct {
 	// parameterization; like Skel, it is immutable and shared across
 	// Clone, and every ComputeWCET runs its context fixpoint on it.
 	PipeOps *pipeline.Compiled
+
+	// plan is the pricing plan CompilePlan froze, shared by every
+	// shallow copy; nil makes ComputeWCET compile one per call.
+	plan *pricingPlan
 
 	// Results of ComputeWCET.
 	WCET int64
@@ -289,9 +308,12 @@ func (a *Analysis) RecomputeL2() error {
 // and ComputeWCET on the clone leave the receiver — and every other
 // clone — untouched, which is what lets the batch engine hand one
 // memoized Prepare result to many concurrent consumers that adjust it
-// (engine.PrepareAll). Consumers that only price need no clone:
+// (engine.PrepareAll). The clone carries no pricing plan: its
+// classification is about to change, so each of its ComputeWCET calls
+// compiles a fresh one. Consumers that only price need no clone:
 // ComputeWCET only reads the classification state, so engine.AnalyzeAll
-// prices a shallow copy that shares it read-only. The skeleton is
+// prices a shallow copy that shares it, and the memo entry's plan,
+// read-only. The skeleton is
 // safe for the clones' concurrent ComputeWCET calls and lets the
 // engine's joint/partition/lock/bus sweeps skip rebuilding identical ILP
 // structure, and re-solving it where the skeleton's optimal basis still
@@ -305,6 +327,7 @@ func (a *Analysis) Clone() *Analysis {
 	if a.L2 != nil {
 		c.L2 = a.L2.Clone(c.CAC)
 	}
+	c.plan = nil
 	c.WCET, c.IPET, c.Pipe = 0, nil, nil
 	return &c
 }
@@ -322,18 +345,23 @@ func (a *Analysis) Clone() *Analysis {
 // which keeps it injective. A Keyed task contributes its cached task
 // part, byte for byte what hashing it again would give.
 func PrepareKey(task Task, sys SystemConfig) string {
-	var b []byte
-	if task.content != "" && task.contentProg == task.Prog && task.contentFacts == task.Facts {
-		b = append(make([]byte, 0, len(task.content)+128), task.content...)
-	} else {
-		b = appendTaskKey(make([]byte, 0, 256), task)
-	}
-	b = appendCacheKey(b, sys.Mem.L1I)
-	b = appendCacheKey(b, sys.Mem.L1D)
+	// The cache geometries are formatted on the stack first, so the
+	// builder is grown to the key's exact length and allocates once.
+	var buf [128]byte
+	caches := appendCacheKey(buf[:0], sys.Mem.L1I)
+	caches = appendCacheKey(caches, sys.Mem.L1D)
 	if sys.Mem.L2 != nil {
-		b = appendCacheKey(b, *sys.Mem.L2)
+		caches = appendCacheKey(caches, *sys.Mem.L2)
 	}
-	return string(b)
+	var b strings.Builder
+	if task.content != "" && task.contentProg == task.Prog && task.contentFacts == task.Facts {
+		b.Grow(len(task.content) + len(caches))
+		b.WriteString(task.content)
+	} else {
+		writeTaskKey(&b, task, len(caches))
+	}
+	b.Write(caches)
+	return b.String()
 }
 
 // appendCacheKey appends one cache geometry, name included, as a
@@ -364,143 +392,225 @@ func (a *Analysis) MergedID(origin RefOrigin, id cache.RefID) (cache.RefID, bool
 	return mid, ok
 }
 
-// missChain describes the worst-case cost of one L1 miss for a reference:
-// the guaranteed part (always incurred on an L1 miss) and an optional
-// second-level persistence event.
-type missChain struct {
-	immediate int       // bus + L2 (+ memory when L2 also misses or bypassed)
-	l2Event   *cfg.Loop // non-nil: memory part charged once per scope entry
-	l2Penalty int
+// chainKind says where a reference's L1 miss is served, which fixes the
+// shape of its miss chain; the latencies along it are read from the
+// system when the reference is priced.
+type chainKind uint8
+
+// Miss-chain kinds.
+const (
+	chainMem          chainKind = iota // no L2, or bypassed: memory on every L1 miss
+	chainL2Hit                         // L2 AlwaysHit
+	chainL2Persistent                  // L2 Persistent: memory once per l2Scope entry
+	chainL2Miss                        // L2 AlwaysMiss or NotClassified: L2, then memory
+)
+
+// planRef is the latency-free pricing input of one reference.
+type planRef struct {
+	class   cache.Class // L1 classification
+	chain   chainKind
+	scope   *cfg.Loop // L1 persistence scope
+	l2Scope *cfg.Loop // L2 persistence scope (chainL2Persistent only)
 }
 
-// chainFor computes the miss chain of a reference given its L1 origin.
-func (a *Analysis) chainFor(origin RefOrigin, id cache.RefID) missChain {
-	mem := a.Sys.Mem
-	if mem.L2 == nil {
-		return missChain{immediate: mem.BusDelay + mem.MemLatency}
+// events is the number of IPET events pricing the reference emits.
+func (r *planRef) events() int {
+	if r.class == cache.AlwaysHit {
+		return 0
+	}
+	n := 0
+	if r.class == cache.Persistent {
+		n++
+	}
+	if r.l2Scope != nil {
+		n++
+	}
+	return n
+}
+
+// planRow is one instruction: its fetch and, for LD/ST, its data
+// reference.
+type planRow struct {
+	fetch, data planRef
+	mem         bool
+}
+
+// pricingPlan is the classification of one analysis compiled for
+// pricing: one row per instruction of every non-exit block, in block
+// order. It holds no latency, so one plan prices every bus delay,
+// memory latency and pipeline. It is immutable once built.
+type pricingPlan struct {
+	rowOf  []int32 // block ID -> the block's first row (exit blocks: unused)
+	rows   []planRow
+	events int // IPET events the rows emit
+}
+
+// CompilePlan compiles a's classification into a pricing plan and keeps
+// it on a, so ComputeWCET on a, and on every shallow copy of a, prices
+// from it instead of compiling one per call. Call it only once a's
+// classification is final: the plan does not see later changes to the
+// L1I, L1D or L2 results, Bypass or L2Override (ExtraEvents and every
+// latency are read when pricing). Clone drops the plan.
+func (a *Analysis) CompilePlan() { a.plan = a.compilePlan() }
+
+// compilePlan builds the pricing plan of a's current classification.
+func (a *Analysis) compilePlan() *pricingPlan {
+	p := &pricingPlan{rowOf: make([]int32, len(a.G.Blocks))}
+	n := 0
+	for _, b := range a.G.Blocks {
+		if !b.IsExit() {
+			n += b.Len()
+		}
+	}
+	p.rows = make([]planRow, 0, n)
+	for _, b := range a.G.Blocks {
+		if b.IsExit() {
+			continue
+		}
+		p.rowOf[b.ID] = int32(len(p.rows))
+		dIdx := 0
+		for i, in := range b.Insts() {
+			row := planRow{fetch: a.planRef(FromL1I, cache.RefID{Block: b.ID, Seq: i}, a.L1I)}
+			if in.IsMem() {
+				row.mem = true
+				row.data = a.planRef(FromL1D, cache.RefID{Block: b.ID, Seq: dIdx}, a.L1D)
+				dIdx++
+			}
+			p.events += row.fetch.events() + row.data.events()
+			p.rows = append(p.rows, row)
+		}
+	}
+	return p
+}
+
+// planRef resolves one L1 reference's class and miss chain: its merged
+// identity, bypass, L2 classification and L2 override.
+func (a *Analysis) planRef(origin RefOrigin, id cache.RefID, res *cache.Result) planRef {
+	rc := res.Classes[id]
+	r := planRef{class: rc.Class, scope: rc.Scope}
+	if a.Sys.Mem.L2 == nil {
+		return r
 	}
 	mid, ok := a.MergedID(origin, id)
-	if !ok {
-		return missChain{immediate: mem.BusDelay + mem.MemLatency}
+	if !ok || a.Bypass[mid] {
+		return r
 	}
-	if a.Bypass[mid] {
-		return missChain{immediate: mem.BusDelay + mem.MemLatency}
-	}
-	l2Lat := mem.BusDelay + mem.L2.HitLatency
-	l2Miss := mem.BusDelay + mem.MemLatency
-	rc := a.L2.Classes[mid]
+	l2 := a.L2.Classes[mid]
 	if ov, ok := a.L2Override[mid]; ok {
-		rc = cache.RefClass{Class: ov}
+		l2 = cache.RefClass{Class: ov}
 	}
-	switch rc.Class {
+	switch l2.Class {
 	case cache.AlwaysHit:
-		return missChain{immediate: l2Lat}
+		r.chain = chainL2Hit
 	case cache.Persistent:
-		return missChain{immediate: l2Lat, l2Event: rc.Scope, l2Penalty: l2Miss}
-	default: // AM, NC: memory on every L1 miss
-		return missChain{immediate: l2Lat + l2Miss}
+		r.chain, r.l2Scope = chainL2Persistent, l2.Scope
+	default:
+		r.chain = chainL2Miss
 	}
+	return r
+}
+
+// missChain is the priced miss chain of one chainKind: the part every
+// L1 miss pays, and the memory part a persistent L2 reference pays once
+// per scope entry.
+type missChain struct{ immediate, penalty int }
+
+// lat returns the reference's added (base, worst) latency beyond the L1
+// hit under chains, appending its IPET events, charged to block blk.
+// Events carry no names on this hot path: an event is identified by
+// (Block, Scope), and names are debug-only (see ipet.Event).
+func (r *planRef) lat(chains *[4]missChain, blk cfg.BlockID, events []ipet.Event) (int, int, []ipet.Event) {
+	if r.class == cache.AlwaysHit {
+		return 0, 0, events
+	}
+	ch := chains[r.chain]
+	base := 0
+	switch r.class {
+	case cache.AlwaysMiss, cache.NotClassified:
+		base = ch.immediate
+	default: // Persistent at L1: priced as a hit, the miss charged per scope entry
+		events = append(events, ipet.Event{Block: blk, Penalty: int64(ch.immediate), Scope: r.scope})
+	}
+	if r.l2Scope != nil {
+		events = append(events, ipet.Event{Block: blk, Penalty: int64(ch.penalty), Scope: r.l2Scope})
+	}
+	return base, ch.immediate + ch.penalty, events
+}
+
+// rowTiming is one instruction's memory timing in the two views
+// ComputeWCET hands the pipeline fixpoint.
+type rowTiming struct{ base, worst pipeline.InstTiming }
+
+// rowPool recycles ComputeWCET's per-call timing rows.
+var rowPool = sync.Pool{New: func() any { return new([]rowTiming) }}
+
+// price fills lats (one entry per plan row) under a's system and returns
+// events with a's ExtraEvents and then the plan's events appended, in
+// block, instruction, fetch-then-data order.
+//
+// The base view folds AM/NC misses in (they happen every execution, and
+// occupy the miss port); PERSISTENT references are priced as hits and
+// their misses charged via IPET events. The worst view (used for the
+// context fixpoint) makes everything not ALWAYS_HIT a miss.
+func (a *Analysis) price(p *pricingPlan, lats []rowTiming, events []ipet.Event) []ipet.Event {
+	events = append(events, a.ExtraEvents...)
+	mem := a.Sys.Mem
+	toMem := mem.BusDelay + mem.MemLatency
+	l2Lat := 0
+	if mem.L2 != nil {
+		l2Lat = mem.BusDelay + mem.L2.HitLatency
+	}
+	chains := [4]missChain{
+		chainMem:          {immediate: toMem},
+		chainL2Hit:        {immediate: l2Lat},
+		chainL2Persistent: {immediate: l2Lat, penalty: toMem},
+		chainL2Miss:       {immediate: l2Lat + toMem},
+	}
+	for _, b := range a.G.Blocks {
+		if b.IsExit() {
+			continue
+		}
+		first := int(p.rowOf[b.ID])
+		for k := first; k < first+b.Len(); k++ {
+			r := &p.rows[k]
+			var fb, fw, db, dw int
+			fb, fw, events = r.fetch.lat(&chains, b.ID, events)
+			t := rowTiming{
+				base:  pipeline.InstTiming{Fetch: mem.L1I.HitLatency + fb, FetchMiss: fb > 0},
+				worst: pipeline.InstTiming{Fetch: mem.L1I.HitLatency + fw, FetchMiss: fw > 0},
+			}
+			if r.mem {
+				db, dw, events = r.data.lat(&chains, b.ID, events)
+				t.base.Mem, t.base.MemMiss = mem.L1D.HitLatency+db, db > 0
+				t.worst.Mem, t.worst.MemMiss = mem.L1D.HitLatency+dw, dw > 0
+			}
+			lats[k] = t
+		}
+	}
+	return events
 }
 
 // ComputeWCET prices every block under the current classifications and
 // solves the IPET model. It can be called repeatedly after classification
 // adjustments (interference, bypass, partitioning). a must come from
 // Prepare or Clone: it runs the compiled PipeOps and Skel that Prepare
-// builds and Clone shares.
+// builds and Clone shares. It prices from a's plan when CompilePlan
+// froze one, else from a plan compiled for this call.
 func (a *Analysis) ComputeWCET() error {
-	events := append([]ipet.Event(nil), a.ExtraEvents...)
-	// latFor returns (base, worst) added latency beyond the L1 hit for a
-	// reference, appending persistence events as needed.
-	latFor := func(origin RefOrigin, id cache.RefID, res *cache.Result) (int, int) {
-		rc := res.Classes[id]
-		ch := a.chainFor(origin, id)
-		full := ch.immediate + ch.l2Penalty
-		// Events carry no names on this hot path: an event is identified
-		// by (Block, Scope), and names are debug-only (see ipet.Event).
-		switch rc.Class {
-		case cache.AlwaysHit:
-			return 0, 0
-		case cache.AlwaysMiss, cache.NotClassified:
-			base := ch.immediate
-			if ch.l2Event != nil {
-				events = append(events, ipet.Event{
-					Block:   id.Block,
-					Penalty: int64(ch.l2Penalty),
-					Scope:   ch.l2Event,
-				})
-			}
-			return base, full
-		default: // Persistent at L1
-			events = append(events, ipet.Event{
-				Block:   id.Block,
-				Penalty: int64(ch.immediate),
-				Scope:   rc.Scope,
-			})
-			if ch.l2Event != nil {
-				events = append(events, ipet.Event{
-					Block:   id.Block,
-					Penalty: int64(ch.l2Penalty),
-					Scope:   ch.l2Event,
-				})
-			}
-			return 0, full
-		}
+	p := a.plan
+	if p == nil {
+		p = a.compilePlan()
 	}
-
-	// Per-instruction timings. Build tables first (events accumulate).
-	// The base view folds AM/NC misses in (they happen every execution,
-	// and occupy the miss port); PERSISTENT references are priced as hits
-	// and their misses charged via IPET events. The worst view (used for
-	// the context fixpoint) makes everything not ALWAYS_HIT a miss.
-	type instLat struct {
-		fetchBase, fetchWorst, memBase, memWorst                 int
-		fetchBaseMiss, fetchWorstMiss, memBaseMiss, memWorstMiss bool
+	rows := rowPool.Get().(*[]rowTiming)
+	defer rowPool.Put(rows)
+	if cap(*rows) < len(p.rows) {
+		*rows = make([]rowTiming, len(p.rows))
 	}
-	// Dense per-block rows (block IDs equal RPO positions) over one flat
-	// backing array: the timing closures below run per instruction per
-	// fixpoint visit, so they index slices instead of hashing block IDs.
-	lats := make([][]instLat, len(a.G.Blocks))
-	total := 0
-	for _, b := range a.G.Blocks {
-		if !b.IsExit() {
-			total += b.Len()
-		}
-	}
-	flat := make([]instLat, total)
-	for _, b := range a.G.Blocks {
-		if b.IsExit() {
-			continue
-		}
-		row := flat[:b.Len():b.Len()]
-		flat = flat[b.Len():]
-		dIdx := 0
-		for i, in := range b.Insts() {
-			fid := cache.RefID{Block: b.ID, Seq: i}
-			fb, fw := latFor(FromL1I, fid, a.L1I)
-			row[i].fetchBase = a.Sys.Mem.L1I.HitLatency + fb
-			row[i].fetchWorst = a.Sys.Mem.L1I.HitLatency + fw
-			row[i].fetchBaseMiss = fb > 0
-			row[i].fetchWorstMiss = fw > 0
-			if in.IsMem() {
-				did := cache.RefID{Block: b.ID, Seq: dIdx}
-				db, dw := latFor(FromL1D, did, a.L1D)
-				row[i].memBase = a.Sys.Mem.L1D.HitLatency + db
-				row[i].memWorst = a.Sys.Mem.L1D.HitLatency + dw
-				row[i].memBaseMiss = db > 0
-				row[i].memWorstMiss = dw > 0
-				dIdx++
-			}
-		}
-		lats[b.ID] = row
-	}
-	base := func(b *cfg.Block, i int) pipeline.InstTiming {
-		l := lats[b.ID][i]
-		return pipeline.InstTiming{Fetch: l.fetchBase, FetchMiss: l.fetchBaseMiss, Mem: l.memBase, MemMiss: l.memBaseMiss}
-	}
-	worst := func(b *cfg.Block, i int) pipeline.InstTiming {
-		l := lats[b.ID][i]
-		return pipeline.InstTiming{Fetch: l.fetchWorst, FetchMiss: l.fetchWorstMiss, Mem: l.memWorst, MemMiss: l.memWorstMiss}
-	}
+	lats := (*rows)[:len(p.rows)]
+	events := a.price(p, lats, make([]ipet.Event, 0, len(a.ExtraEvents)+p.events))
+	rowOf := p.rowOf
+	base := func(b *cfg.Block, i int) pipeline.InstTiming { return lats[int(rowOf[b.ID])+i].base }
+	worst := func(b *cfg.Block, i int) pipeline.InstTiming { return lats[int(rowOf[b.ID])+i].worst }
 	pipe, err := a.PipeOps.AnalyzeCosts(a.Sys.Pipeline, worst, base)
 	if err != nil {
 		return err

@@ -12,8 +12,9 @@ import (
 
 // TestKeyedPrepareKey: a Keyed task keys byte for byte as the plain
 // task does, for every suite task and for a task with loop bounds and
-// an extra path constraint, with and without an L2; re-pointing a Keyed
-// task at another program drops the cached part.
+// an extra path constraint, with and without an L2, and its key is one
+// allocation; re-pointing a Keyed task at another program drops the
+// cached part.
 func TestKeyedPrepareKey(t *testing.T) {
 	prog := isa.MustAssemble("constrained", `
         li   r1, 16
@@ -43,6 +44,9 @@ loop:   addi r1, r1, -1
 	}
 	sys := core.DefaultSystem()
 	keyed := core.Keyed(tasks[0])
+	if n := testing.AllocsPerRun(10, func() { core.PrepareKey(keyed, sys) }); n != 1 {
+		t.Errorf("keyed PrepareKey makes %v allocations, want 1: the key itself", n)
+	}
 	keyed.Prog = tasks[1].Prog
 	plain := tasks[0]
 	plain.Prog = tasks[1].Prog

@@ -57,3 +57,31 @@ func BenchmarkSuitePooledWarm(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAnalyzeAllWarm prices one warm task set — the suite, keyed
+// once as a sweep keys it — at 16 bus delays: the memo-hit path of a
+// sweep point, where every request prices a shallow copy of its memo
+// entry from the entry's pricing plan.
+func BenchmarkAnalyzeAllWarm(b *testing.B) {
+	tasks := workload.Suite()
+	for i := range tasks {
+		tasks[i] = core.Keyed(tasks[i])
+	}
+	var reqs []Request
+	for delay := 0; delay < 16; delay++ {
+		sys := testSys()
+		sys.Mem.BusDelay = delay
+		reqs = append(reqs, Requests(tasks, sys)...)
+	}
+	e := New(1)
+	if _, err := e.AnalyzeAll(context.Background(), reqs); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.AnalyzeAll(context.Background(), reqs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -13,10 +13,13 @@
 //
 // PrepareAll clones, AnalyzeAll shares read-only. PrepareAll's callers
 // go on to reclassify, bypass or lock, so each gets a private
-// core.Analysis.Clone. AnalyzeAll only prices: each request prices a
+// core.Analysis.Clone, which carries no pricing plan and compiles one
+// per ComputeWCET. AnalyzeAll only prices: each request prices a
 // shallow copy of the memo entry that carries its own task, system and
 // WCET outputs and shares the classification state with the memo, so
-// its results must not be changed.
+// its results must not be changed. The memo entry compiles its pricing
+// plan once, right after Prepare (core.Analysis.CompilePlan), and every
+// shallow copy prices from that plan.
 //
 // Determinism is preserved by construction: each request's analysis runs
 // the same single-threaded code the sequential path runs, on its own
@@ -149,7 +152,9 @@ func (e *Engine) memoized(task core.Task, sys core.SystemConfig) (*core.Analysis
 	ran := false
 	ent.once.Do(func() {
 		ran = true
-		ent.a, ent.err = core.Prepare(task, sys)
+		if ent.a, ent.err = core.Prepare(task, sys); ent.err == nil {
+			ent.a.CompilePlan() // entries are never reclassified; copies share it
+		}
 	})
 	if ent.err != nil {
 		if ran {
@@ -185,8 +190,8 @@ func (e *Engine) prepare(task core.Task, sys core.SystemConfig) (*core.Analysis,
 // copy of the memoized entry: the copy carries the request's own task,
 // system and WCET outputs, and shares everything else with the entry
 // and with every other priced copy, read-only. ComputeWCET only reads
-// the classification state (CAC, Bypass, L2Override, L2, ExtraEvents),
-// so no deep copy is needed to price it.
+// the classification state (CAC, Bypass, L2Override, L2, ExtraEvents)
+// and the entry's pricing plan, so no deep copy is needed to price it.
 func (e *Engine) price(task core.Task, sys core.SystemConfig) (*core.Analysis, error) {
 	a, err := e.memoized(task, sys)
 	if err != nil {
@@ -237,8 +242,9 @@ func (e *Engine) PrepareAll(ctx context.Context, reqs []Request) ([]*core.Analys
 //
 // The results are read-only. Each carries its own Task, Sys and WCET
 // outputs (WCET, IPET, Pipe), but shares its classification state (the
-// L2 result, CAC, Bypass, L2Override, ExtraEvents) with the memo and
-// with every other result of the same core.PrepareKey. Reading them and
+// L2 result, CAC, Bypass, L2Override, ExtraEvents) and its pricing plan
+// with the memo and with every other result of the same
+// core.PrepareKey. Reading them and
 // calling ComputeWCET again are safe; a caller that reclassifies,
 // bypasses or locks must use PrepareAll, or Clone a result first.
 func (e *Engine) AnalyzeAll(ctx context.Context, reqs []Request) ([]*core.Analysis, error) {

@@ -8,9 +8,12 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
+	"paratime/internal/cache"
 	"paratime/internal/cachestore"
 	"paratime/internal/core"
 	"paratime/internal/flow"
@@ -548,4 +551,119 @@ func TestMemoizedClonesShareSkeleton(t *testing.T) {
 	if hits, _ := as[0].Skel.ReuseStats(); hits == 0 {
 		t.Error("bus-delay sweep over one skeleton never priced from its optimal basis")
 	}
+}
+
+// planOf returns the pricing plan a carries, nil for none.
+func planOf(a *core.Analysis) unsafe.Pointer {
+	return reflect.ValueOf(a).Elem().FieldByName("plan").UnsafePointer()
+}
+
+// adjustAndPrice bypasses, reclassifies and locks a the way the
+// interference and locking passes do, then prices it.
+func adjustAndPrice(a *core.Analysis) error {
+	if _, err := interfere.ApplyBypass(a); err != nil {
+		return err
+	}
+	shift := make([]int, a.L2.Cfg.Sets)
+	for s := range shift {
+		shift[s] = s % (a.L2.Cfg.Ways + 1)
+	}
+	a.L2.ReclassifyShift(shift)
+	a.L2Override = map[cache.RefID]cache.Class{}
+	for _, b := range a.G.Blocks {
+		for seq := range a.Merged.Refs[b.ID] {
+			if seq%2 == 0 {
+				a.L2Override[cache.RefID{Block: b.ID, Seq: seq}] = cache.AlwaysMiss
+			}
+		}
+	}
+	return a.ComputeWCET()
+}
+
+// TestPricingPlanStaleness: the memo entry compiles one pricing plan and
+// every AnalyzeAll result prices from it, while a PrepareAll clone
+// carries none. Bypassing, reclassifying and locking clones therefore
+// prices their own classification, equal to the same adjustments on a
+// fresh Prepare, and the memo entry, re-priced at the same time on
+// other goroutines, keeps its WCET. A handful of goroutines do both at
+// once, so -race sees the plan shared across them.
+func TestPricingPlanStaleness(t *testing.T) {
+	ctx := context.Background()
+	e := New(4)
+	task := workload.CRC(8, workload.Slot(0))
+	sys := testSys()
+	memo, err := e.memoized(task, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := planOf(memo)
+	if plan == nil {
+		t.Fatal("memo entry carries no pricing plan")
+	}
+	solo, err := e.Analyze(ctx, task, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if planOf(solo) != plan {
+		t.Fatal("AnalyzeAll result does not price from the memo entry's plan")
+	}
+	fresh, err := core.Prepare(task, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adjustAndPrice(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if fresh.WCET == solo.WCET {
+		t.Fatalf("adjusted WCET %d equals the solo WCET: the adjustments change nothing", fresh.WCET)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if w%2 == 0 {
+					as, err := e.PrepareAll(ctx, Requests([]core.Task{task}, sys))
+					if err != nil {
+						errs <- err
+						return
+					}
+					c := as[0]
+					if planOf(c) != nil {
+						errs <- fmt.Errorf("PrepareAll clone carries a pricing plan")
+						return
+					}
+					if err := adjustAndPrice(c); err != nil {
+						errs <- err
+						return
+					}
+					if c.WCET != fresh.WCET || !reflect.DeepEqual(c.IPET.BlockCounts, fresh.IPET.BlockCounts) {
+						errs <- fmt.Errorf("adjusted clone WCET %d, fresh Prepare adjusted the same way %d", c.WCET, fresh.WCET)
+						return
+					}
+				} else {
+					a, err := e.Analyze(ctx, task, sys)
+					if err != nil {
+						errs <- err
+						return
+					}
+					if a.WCET != solo.WCET {
+						errs <- fmt.Errorf("memo entry re-priced at %d while clones were adjusted, was %d", a.WCET, solo.WCET)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if planOf(memo) != plan {
+		t.Error("memo entry's plan was replaced")
+	}
+	checkPricedSolo(t, e, task, sys, solo.WCET)
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"paratime/internal/cfg"
 	"paratime/internal/isa"
@@ -229,6 +230,31 @@ func (c *Context) joinEdge(o *Context, ifFloor int) bool {
 	return changed
 }
 
+// fixScratch is one AnalyzeCosts call's fixpoint state: the per-block
+// in-contexts, the reached flags and the worklist, for graphs of up to
+// cap(in) blocks.
+type fixScratch struct {
+	in   []Context
+	seen []bool
+	wl   *cfg.Worklist
+}
+
+// fixPool recycles fixpoint state across AnalyzeCosts calls. A call that
+// fails leaves its worklist non-empty and is not returned to the pool.
+var fixPool = sync.Pool{New: func() any { return new(fixScratch) }}
+
+// reset sizes s for n blocks: every context zero (the entry context, and
+// how unreached blocks are priced), nothing seen, the worklist empty.
+func (s *fixScratch) reset(n int) {
+	if cap(s.in) < n {
+		s.in, s.seen, s.wl = make([]Context, n), make([]bool, n), cfg.NewWorklist(n)
+		return
+	}
+	s.in, s.seen = s.in[:n], s.seen[:n]
+	clear(s.in)
+	clear(s.seen)
+}
+
 // AnalyzeCosts runs the context fixpoint with worst-case latencies and
 // prices each block under its worst context with base latencies.
 //
@@ -241,17 +267,29 @@ func (c *Context) joinEdge(o *Context, ifFloor int) bool {
 // The per-block contexts live in a dense slice indexed by block position
 // and blocks are revisited through a worklist in RPO priority order, so
 // only the successors of blocks whose out-context actually changed are
-// re-examined and steady-state iteration allocates nothing.
+// re-examined. The contexts, reached flags and worklist come from a
+// pool, so a call allocates only its result.
 func (c *Compiled) AnalyzeCosts(pc Config, worst, base TimingFn) (*CostResult, error) {
+	s := fixPool.Get().(*fixScratch)
+	res, err := c.analyze(pc, worst, base, s)
+	if err != nil {
+		return nil, err
+	}
+	fixPool.Put(s)
+	return res, nil
+}
+
+// analyze is AnalyzeCosts on the fixpoint state s, which it resets and
+// leaves holding the fixpoint's in-contexts and reached flags.
+func (c *Compiled) analyze(pc Config, worst, base TimingFn, s *fixScratch) (*CostResult, error) {
 	lt := pc.Latencies()
 	redirectPen := pc.BranchPenalty
 	n := len(c.blocks)
-	in := make([]Context, n)
-	seen := make([]bool, n)
+	s.reset(n)
+	in, seen, wl := s.in, s.seen, s.wl
 	blocks := c.g.Blocks
 	entry := int(c.g.Entry.ID)
 	seen[entry] = true
-	wl := cfg.NewWorklist(n)
 	wl.Push(entry)
 	// The context lattice is finite (clamped), so the fixpoint terminates;
 	// the pop budget mirrors the retired implementation's iteration guard.
@@ -288,7 +326,7 @@ func (c *Compiled) AnalyzeCosts(pc Config, worst, base TimingFn) (*CostResult, e
 			}
 		}
 	}
-	res := &CostResult{cost: make([]int, n), in: in, seen: seen}
+	res := &CostResult{cost: make([]int, n)}
 	for i, b := range blocks {
 		m := &c.blocks[i]
 		if m.exit {

@@ -1,6 +1,10 @@
 package pipeline
 
-import "paratime/internal/cfg"
+import (
+	"slices"
+
+	"paratime/internal/cfg"
+)
 
 // Context algebra, per-block accessors and whole-graph entry points that
 // only the differential and property tests drive; production costing
@@ -46,14 +50,37 @@ func EdgeContext(pc Config, bt BlockTiming, e *cfg.Edge) Context {
 // Cost returns the worst-case cost of one block.
 func (r *CostResult) Cost(id cfg.BlockID) int { return r.cost[id] }
 
+// fixResult is an AnalyzeCosts result together with the in-contexts and
+// reached flags of its fixpoint, which AnalyzeCosts leaves in its pooled
+// scratch.
+type fixResult struct {
+	*CostResult
+	in   []Context
+	seen []bool
+}
+
 // In returns the in-context the fixpoint reached for a block; ok is
 // false when the block was never reached (the context is then the zero
 // entry context, matching how it is priced).
-func (r *CostResult) In(id cfg.BlockID) (Context, bool) { return r.in[id], r.seen[id] }
+func (r *fixResult) In(id cfg.BlockID) (Context, bool) { return r.in[id], r.seen[id] }
 
-// AnalyzeCosts compiles g and runs Compiled.AnalyzeCosts.
-func AnalyzeCosts(g *cfg.Graph, pc Config, worst, base TimingFn) (*CostResult, error) {
-	return Compile(g).AnalyzeCosts(pc, worst, base)
+// analyzeContexts is AnalyzeCosts on the same pooled scratch, keeping a
+// copy of the fixpoint's contexts and reached flags.
+func (c *Compiled) analyzeContexts(pc Config, worst, base TimingFn) (*fixResult, error) {
+	s := fixPool.Get().(*fixScratch)
+	res, err := c.analyze(pc, worst, base, s)
+	if err != nil {
+		return nil, err
+	}
+	out := &fixResult{CostResult: res, in: slices.Clone(s.in), seen: slices.Clone(s.seen)}
+	fixPool.Put(s)
+	return out, nil
+}
+
+// AnalyzeCosts compiles g and runs its context fixpoint, keeping the
+// contexts.
+func AnalyzeCosts(g *cfg.Graph, pc Config, worst, base TimingFn) (*fixResult, error) {
+	return Compile(g).analyzeContexts(pc, worst, base)
 }
 
 // ExecBlock prices one block of the compiled model from the given

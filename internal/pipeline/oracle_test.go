@@ -207,7 +207,7 @@ func randTiming(seed int64, maxFetch, maxMem int) TimingFn {
 
 // agreesWithOracle reports whether the dense result matches the
 // oracle's maps exactly: same reached set, same contexts, same costs.
-func agreesWithOracle(g *cfg.Graph, want *oracleCosts, got *CostResult) string {
+func agreesWithOracle(g *cfg.Graph, want *oracleCosts, got *fixResult) string {
 	for _, b := range g.Blocks {
 		wc, reached := want.In[b.ID]
 		gc, ok := got.In(b.ID)
@@ -255,6 +255,41 @@ func TestAnalyzeCostsMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCostsResetsScratch: fixpoint state that a pooled scratch
+// still holds from an earlier call — contexts far from the entry
+// context, every block marked reached, room for a larger graph — must
+// not leak into the next call, whose entry and unreached blocks start
+// from the zero entry context.
+func TestAnalyzeCostsResetsScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 20; trial++ {
+		g := randProgram(t, rng)
+		pc := DefaultConfig()
+		worst := randTiming(int64(trial), 6, 12)
+		base := randTiming(int64(trial)^5, 2, 4)
+		want, err := oracleAnalyzeCosts(g, pc, worst, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(g.Blocks) + 3
+		s := &fixScratch{in: make([]Context, n), seen: make([]bool, n), wl: cfg.NewWorklist(n)}
+		for i := range s.in {
+			s.in[i].Avail[IF], s.in[i].Port = 40, 40
+			for r := range s.in[i].RegReady {
+				s.in[i].RegReady[r] = 40
+			}
+			s.seen[i] = true
+		}
+		res, err := Compile(g).analyze(pc, worst, base, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := agreesWithOracle(g, want, &fixResult{CostResult: res, in: s.in, seen: s.seen}); diff != "" {
+			t.Fatalf("trial %d, dirty scratch: %s", trial, diff)
+		}
+	}
+}
+
 // TestExecBlockMatchesOracle compares the compiled op loop against the
 // retired instruction loop on every block of random graphs from random
 // contexts.
@@ -298,8 +333,19 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 	for w := 0; w < 16; w++ {
 		go func() {
 			res, err := c.AnalyzeCosts(pc, randTiming(1, 5, 9), randTiming(2, 2, 3))
+			if err != nil {
+				done <- err
+				return
+			}
+			for _, b := range g.Blocks {
+				if res.Cost(b.ID) != ref.Cost[b.ID] {
+					done <- fmt.Errorf("concurrent cost of block %v: %d, oracle %d", b, res.Cost(b.ID), ref.Cost[b.ID])
+					return
+				}
+			}
+			full, err := c.analyzeContexts(pc, randTiming(1, 5, 9), randTiming(2, 2, 3))
 			if err == nil {
-				if diff := agreesWithOracle(g, ref, res); diff != "" {
+				if diff := agreesWithOracle(g, ref, full); diff != "" {
 					err = fmt.Errorf("concurrent result diverged: %s", diff)
 				}
 			}

@@ -149,14 +149,13 @@ func isRealTransfer(b *cfg.Block) bool {
 	return op == isa.RET || op == isa.J || op == isa.CALL
 }
 
-// CostResult carries the context fixpoint and per-block worst-case
-// costs. Both live in dense vectors indexed by block position (block
-// IDs equal RPO positions), so downstream pricing — the IPET objective
-// in particular — indexes slices instead of hashing block IDs.
+// CostResult carries the per-block worst-case costs in a dense vector
+// indexed by block position (block IDs equal RPO positions), so
+// downstream pricing — the IPET objective in particular — indexes a
+// slice instead of hashing block IDs. The fixpoint's contexts stay in
+// AnalyzeCosts's pooled scratch.
 type CostResult struct {
 	cost []int
-	in   []Context
-	seen []bool
 }
 
 // Costs returns the per-block worst-case cost vector indexed by block

@@ -114,7 +114,10 @@ type SweepPoints struct {
 // Keyed tasks, and the sha256 midstate of its points' shared
 // {spec,name,tasks} encoding prefix.
 type taskSet struct {
-	once  sync.Once
+	once sync.Once
+	// set is what workload.Set built for a taskSets value (nil for the
+	// base tasks); specs is its spec form, for fingerprints and reports.
+	set   []core.Task
 	specs []TaskSpec
 	err   error
 
@@ -141,12 +144,9 @@ func (d *SweepDoc) Enumerate() *SweepPoints {
 // on the first call.
 func (ts *taskSet) taskSpecs(name string) ([]TaskSpec, error) {
 	ts.once.Do(func() {
-		tasks, err := workload.Set(name)
-		if err != nil {
-			ts.err = err
-			return
+		if ts.set, ts.err = workload.Set(name); ts.err == nil {
+			ts.specs, ts.err = TasksToSpec(ts.set)
 		}
-		ts.specs, ts.err = TasksToSpec(tasks)
 	})
 	return ts.specs, ts.err
 }
@@ -345,9 +345,11 @@ func (e *SweepPoints) Fingerprint(pt *SweepPoint) (string, error) {
 
 // Run returns Run(ctx, pt.Scenario, eng) for a point that e.Point
 // returned, without validating the point again (Point did) or
-// rebuilding its tasks: e builds each task set once, keys its tasks
-// (core.Keyed), and hands every point of the set the same read-only
-// []core.Task, so the engine sees the same programs at every point.
+// rebuilding its tasks: e keys each task set's tasks once (core.Keyed)
+// and hands every point of the set the same read-only []core.Task, so
+// the engine sees the same programs at every point. A taskSets value
+// keys the tasks workload.Set built, which build and key exactly as
+// their specs would; the base tasks are built from their specs.
 func (e *SweepPoints) Run(ctx context.Context, pt *SweepPoint, eng *engine.Engine) (*Report, error) {
 	ts, err := e.setOf(pt)
 	if err != nil {
@@ -357,11 +359,16 @@ func (e *SweepPoints) Run(ctx context.Context, pt *SweepPoint, eng *engine.Engin
 		return nil, err
 	}
 	ts.buildOnce.Do(func() {
-		if ts.tasks, ts.buildErr = buildTasks(pt.Scenario.Tasks); ts.buildErr == nil {
-			for i := range ts.tasks {
-				ts.tasks[i] = core.Keyed(ts.tasks[i])
+		tasks := ts.set
+		if tasks == nil {
+			if tasks, ts.buildErr = buildTasks(pt.Scenario.Tasks); ts.buildErr != nil {
+				return
 			}
 		}
+		for i := range tasks {
+			tasks[i] = core.Keyed(tasks[i])
+		}
+		ts.tasks = tasks
 	})
 	if ts.buildErr != nil {
 		return nil, ts.buildErr

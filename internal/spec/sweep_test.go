@@ -705,3 +705,38 @@ func TestSweepPointsRunSharesPrograms(t *testing.T) {
 		}
 	}
 }
+
+// TestSetTasksKeyAsBuilt: SweepPoints.Run keys the tasks workload.Set
+// built instead of rebuilding them from their specs, which is sound
+// only if every set's direct tasks carry the names and PrepareKeys of
+// the tasks BuildTask makes from their specs, under systems with and
+// without an L2.
+func TestSetTasksKeyAsBuilt(t *testing.T) {
+	noL2 := core.DefaultSystem()
+	noL2.Mem.L2 = nil
+	names := append(workload.SetNames(), "fib24+crc16", "matmult4+bsort12+fir16x4")
+	for _, name := range names {
+		direct, err := workload.Set(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, err := TasksToSpec(direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range specs {
+			built, err := specs[i].BuildTask()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if direct[i].Name != built.Name {
+				t.Errorf("%s task %d: direct name %q, built %q", name, i, direct[i].Name, built.Name)
+			}
+			for _, sys := range []core.SystemConfig{core.DefaultSystem(), noL2} {
+				if got, want := core.PrepareKey(direct[i], sys), core.PrepareKey(built, sys); got != want {
+					t.Errorf("%s task %d (%s): direct key %q, built %q", name, i, direct[i].Name, got, want)
+				}
+			}
+		}
+	}
+}

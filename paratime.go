@@ -262,7 +262,8 @@ func Prepare(task Task, sys SystemConfig) (*Analysis, error) { return core.Prepa
 // sweeps over bus arbiters or repeated experiment configurations reuse
 // prepared artefacts. Results are bit-identical to the sequential path.
 // The analyses AnalyzeAll and Analyze return are read-only: they share
-// their cache classification state with the memo and with each other.
+// their cache classification state, and the pricing plan compiled from
+// it, with the memo and with each other.
 // To adjust one (interference, bypass, locking), use PrepareAll, or
 // Clone the analysis first.
 type Engine = engine.Engine
