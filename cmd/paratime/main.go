@@ -43,7 +43,6 @@ import (
 
 	"paratime"
 	"paratime/internal/cfg"
-	"paratime/internal/engine"
 	"paratime/internal/experiments"
 	"paratime/internal/flow"
 	"paratime/internal/parallel"
@@ -109,34 +108,7 @@ func run(ctx context.Context, args []string) error {
 			return nil
 		})
 	case "suite":
-		// Analyses fan out across the batch engine's worker pool and the
-		// validation simulations across a matching pool; results print in
-		// task order, byte-identical to the sequential loop.
-		sys := paratime.DefaultSystem()
-		tasks := paratime.Suite()
-		eng := paratime.DefaultEngine()
-		as, err := eng.AnalyzeAll(ctx, engine.Requests(tasks, sys))
-		if err != nil {
-			return err
-		}
-		sims := make([]*paratime.SimResult, len(tasks))
-		err = parallel.For(ctx, 0, len(tasks), func(i int) error {
-			s := paratime.BuildSim(sys, paratime.DefaultMemConfig(), nil, false, tasks[i])
-			res, err := paratime.Simulate(s, 1_000_000_000)
-			if err != nil {
-				return err
-			}
-			sims[i] = res
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		for i, task := range tasks {
-			fmt.Printf("%-12s WCET %8d   sim %8d   %s\n",
-				task.Name, as[i].WCET, sims[i].Cycles(0), as[i].ClassSummary())
-		}
-		return nil
+		return runSuite(ctx)
 	case "run":
 		return runScenarios(ctx, args[1:])
 	case "export":
@@ -180,6 +152,32 @@ func run(ctx context.Context, args []string) error {
 	}
 }
 
+// runSuite analyzes and simulates every benchmark of the suite alone,
+// as one solo scenario with a sim block, and prints one line per task.
+func runSuite(ctx context.Context) error {
+	ts, err := spec.TasksToSpec(paratime.Suite())
+	if err != nil {
+		return err
+	}
+	rep, err := paratime.Run(ctx, &spec.Scenario{Spec: spec.Version, Name: "suite", Tasks: ts, System: spec.DefaultSystemSpec(),
+		Mode: spec.ModeSpec{Kind: spec.KindSolo}, Sim: &spec.SimSpec{MaxCycles: 1_000_000_000}})
+	if err != nil {
+		return err
+	}
+	for i, task := range rep.Tasks {
+		fmt.Printf("%-12s WCET %8d   sim %8d   %s\n", task.Name, task.WCET, rep.Sim[i].Cycles, task.Classes)
+	}
+	return nil
+}
+
+// readInput reads the named file, or stdin for "-".
+func readInput(path string) ([]byte, error) {
+	if path == "-" {
+		return io.ReadAll(os.Stdin)
+	}
+	return os.ReadFile(path)
+}
+
 // runScenarios decodes scenario file(s) (or stdin with "-") and runs
 // every scenario in them through the Scenario API.
 func runScenarios(ctx context.Context, args []string) error {
@@ -199,15 +197,7 @@ func runScenarios(ctx context.Context, args []string) error {
 	}
 	var scs []*spec.Scenario
 	for _, path := range args {
-		var (
-			data []byte
-			err  error
-		)
-		if path == "-" {
-			data, err = io.ReadAll(os.Stdin)
-		} else {
-			data, err = os.ReadFile(path)
-		}
+		data, err := readInput(path)
 		if err != nil {
 			return err
 		}

@@ -54,6 +54,9 @@ func runServe(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *parallelism < 0 {
+		return fmt.Errorf("serve: -parallelism wants a non-negative integer, got %d", *parallelism)
+	}
 	cache, err := buildServeCache(*cacheDir)
 	if err != nil {
 		return err

@@ -60,19 +60,14 @@ func runSweep(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *parallelism < 0 {
+		return fmt.Errorf("sweep: -parallelism wants a non-negative integer, got %d", *parallelism)
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("sweep wants exactly one sweep file (or '-' for stdin)")
 	}
 	path := fs.Arg(0)
-	var (
-		data []byte
-		err  error
-	)
-	if path == "-" {
-		data, err = io.ReadAll(os.Stdin)
-	} else {
-		data, err = os.ReadFile(path)
-	}
+	data, err := readInput(path)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,23 +40,25 @@ func main() {
 			n, res.HRTCycles, retired)
 	}
 
-	// PRET: per-thread timing invariant by construction.
-	pc := smt.DefaultPret()
-	victim := workload.CRC(8, workload.Slot(0))
-	bound, err := pc.AnalyzeWCET(victim.Prog, victim.Facts)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// PRET: per-thread timing invariant by construction. Each co-runner
+	// mix is one pret scenario with a sim block.
 	fmt.Println("\nPRET thread-interleaved pipeline:")
+	tasks := []paratime.Task{workload.CRC(8, workload.Slot(0))}
 	for n := 0; n <= 5; n++ {
-		progs := []*paratime.Program{victim.Prog}
-		for i := 0; i < n; i++ {
-			progs = append(progs, workload.CountBits(4+i, workload.Slot(6+i)).Prog)
+		sc := &paratime.Scenario{Spec: paratime.SpecVersion, System: paratime.DefaultScenarioSystem(), Sim: &paratime.ScenarioSim{},
+			Mode: paratime.ScenarioMode{Kind: paratime.ModePRET, PRET: &paratime.ScenarioPRET{Threads: 6, WheelWindow: 26, MemLatency: 20}}}
+		for _, task := range tasks {
+			st, err := paratime.ScenarioTaskOf(task)
+			if err != nil {
+				log.Fatal(err)
+			}
+			sc.Tasks = append(sc.Tasks, st)
 		}
-		times, err := pc.SimulatePret(progs, 100_000_000)
+		rep, err := paratime.Run(context.Background(), sc)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %d co-runners: victim %d cycles (static bound %d)\n", n, times[0], bound)
+		fmt.Printf("  %d co-runners: victim %d cycles (static bound %d)\n", n, rep.Sim[0].Cycles, rep.Tasks[0].WCET)
+		tasks = append(tasks, workload.CountBits(4+n, workload.Slot(6+n)))
 	}
 }

@@ -123,6 +123,7 @@ func TestExportSandwich(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	explored := map[string]bool{}
 	for _, sc := range scs {
 		if sc.Sim == nil {
 			sc.Sim = &spec.SimSpec{}
@@ -143,6 +144,7 @@ func TestExportSandwich(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)
 		}
+		explored[sc.Mode.Kind] = explored[sc.Mode.Kind] || rep.Explore != nil
 		sound := true
 		for _, s := range rep.Sim {
 			sound = sound && s.Sound
@@ -155,6 +157,12 @@ func TestExportSandwich(t *testing.T) {
 			t.Errorf("%s: listed as known-unsound but now sound; drop it from knownUnsound", sc.Name)
 		case !knownUnsound[sc.Name] && !sound:
 			t.Errorf("%s: bound below the machine: sim %+v tasks %+v", sc.Name, rep.Sim, rep.Tasks)
+		}
+	}
+	// Every mode with a machine must reach the explorer; lock has none.
+	for _, kind := range []string{spec.KindSolo, spec.KindJoint, spec.KindPartition, spec.KindBus, spec.KindSMT, spec.KindPRET} {
+		if !explored[kind] {
+			t.Errorf("no %s export was explored", kind)
 		}
 	}
 }

@@ -358,3 +358,32 @@ func TestSandwichAllRegimes(t *testing.T) {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// TestExploreFixedCostCores: a machine of fixed-cost cores has no cache
+// geometry, so the warm patterns are empty (no division by a zero line
+// size) and cannot change the timing: every pattern prices to the plain
+// simulation, and inputs still choose the path.
+func TestExploreFixedCostCores(t *testing.T) {
+	p := isa.MustAssemble("branchy", `
+        beq  r1, r0, skip
+        ld   r2, 0(r0)
+skip:   halt`)
+	sys := sim.System{Bus: arbiter.NewWheel(2, 26), Cores: []sim.CoreConfig{
+		{Name: "a", Prog: p, Fixed: &sim.FixedCost{Issue: 2, Mem: 20}},
+		{Name: "b", Prog: p, Fixed: &sim.FixedCost{Start: 1, Issue: 2, Mem: 20}},
+	}}
+	res, err := ExplorePar(sys, []Input{{Core: 0, Reg: 1, Values: []int32{0, 1}}}, Budget{InitStates: 4}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.States != 8 || res.Truncated || res.Paths != 3 {
+		t.Errorf("states %d paths %d truncated %v, want 8 states, 3 paths, exhaustive", res.States, res.Paths, res.Truncated)
+	}
+	solo, err := sim.Run(sys, DefaultMaxCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExactWorst[1] != solo.Cycles(1) || res.Witness[0].Init.Pattern != 0 || res.ExactWorst[0] <= solo.Cycles(0) {
+		t.Errorf("exact worst %v witness %+v, plain run %v", res.ExactWorst, res.Witness[0], solo.Stats)
+	}
+}

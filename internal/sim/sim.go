@@ -47,6 +47,24 @@ type CoreConfig struct {
 	// choice: it consumes no simulated time and no bus transactions.
 	WarmI []uint32
 	WarmD []uint32
+
+	// Fixed makes this a fixed-cost core, ignoring Pipe, caches and warming.
+	Fixed *FixedCost
+}
+
+// FixedCost is a core with no pipeline or caches, the model of
+// internal/smt's hardware threads: each instruction costs a fixed number
+// of cycles, and its one shared resource is a port arbitrated by
+// System.Bus (uncontended when nil; an instruction that does not request
+// it is granted at once). A port wait is not a bus transaction. Every
+// instruction must take a cycle (Issue + Hold > 0), or a program that
+// never halts never reaches the cycle budget.
+type FixedCost struct {
+	Start   int64 // cycle the first instruction issues
+	Issue   int64 // cycles an instruction takes before its grant
+	AllPort bool  // every instruction requests the port, not only memory operations
+	Hold    int64 // cycles from a grant to the instruction's completion
+	Mem     int64 // further cycles of a memory operation after its grant
 }
 
 // System is a complete multicore configuration. It is a read-only
@@ -142,6 +160,7 @@ type phase uint8
 const (
 	phFetch phase = iota // waiting to resolve the instruction fetch
 	phMem                // waiting to resolve the data access
+	phFree               // a fixed-cost instruction that needs no port
 )
 
 // busNeed is a core's pending bus transaction.
@@ -158,6 +177,7 @@ type coreRunner struct {
 	l1i  *cache.LRU
 	l1d  *cache.LRU
 	l2   *cache.LRU // shared or private; nil without L2
+	mem  *memctrl.Controller
 
 	// Compiled pipeline model: the program's instructions lowered to the
 	// same ops the static analysis executes, plus the config's EX-latency
@@ -186,6 +206,8 @@ type coreRunner struct {
 	exd      int64 // EX completion (branch resolution)
 	exsAbs   int64 // EX start
 
+	need busNeed // the transaction run returns; a field, so it allocates nothing
+
 	stats CoreStats
 	done  bool
 }
@@ -199,7 +221,10 @@ type coreRunner struct {
 //	IFs = max(prevIDs, redirect); IFd = IFs + fetchLat
 //	IDs = max(IFd, prevEXs); EXs = max(IDs+1, prevMEMs, ready[srcs])
 //	MEMs = max(EXs+ex, prevWBs); WBs = max(MEMs+mem, prevWBd); WBd = WBs+1
-func (c *coreRunner) run(sys *System) (*busNeed, error) {
+func (c *coreRunner) run() (*busNeed, error) {
+	if c.cfg.Fixed != nil {
+		return c.runFixed()
+	}
 	for !c.arch.Halted {
 		switch {
 		case c.inFlight():
@@ -220,10 +245,11 @@ func (c *coreRunner) run(sys *System) (*busNeed, error) {
 				// The blocking miss port serializes this core's
 				// transactions: request when both the fetch is due and the
 				// port is free.
-				return &busNeed{addr: c.arch.PC, at: max(c.ifs, c.portFree), ph: phFetch}, nil
+				c.need = busNeed{addr: c.arch.PC, at: max(c.ifs, c.portFree), ph: phFetch}
+				return &c.need, nil
 			}
 		}
-		need, err := c.finish(sys)
+		need, err := c.finish()
 		if err != nil {
 			return nil, err
 		}
@@ -242,13 +268,37 @@ func (c *coreRunner) run(sys *System) (*busNeed, error) {
 	return nil, nil
 }
 
+// runFixed is run for a fixed-cost core, whose clock is stats.Cycles
+// from Start on. Its architectural state does not depend on time, so an
+// instruction steps when it issues and completes in resume, after the
+// event loop has granted it the port if it requests one.
+func (c *coreRunner) runFixed() (*busNeed, error) {
+	if c.arch.Halted {
+		c.done = true
+		return nil, nil
+	}
+	idx := c.arch.Prog.Index(c.arch.PC)
+	if idx < 0 {
+		return nil, fmt.Errorf("core %d: PC 0x%x outside text", c.id, c.arch.PC)
+	}
+	c.need = busNeed{at: max(c.stats.Cycles, c.cfg.Fixed.Start) + c.cfg.Fixed.Issue, ph: phFetch}
+	switch {
+	case c.arch.Prog.Insts[idx].IsMem():
+		c.need.ph = phMem
+	case !c.cfg.Fixed.AllPort:
+		c.need.ph = phFree
+	}
+	c.stats.Retired++
+	return &c.need, c.arch.Step()
+}
+
 // inFlight reports whether an instruction fetch has completed but the
 // instruction has not retired (set by resume).
 func (c *coreRunner) inFlight() bool { return c.ifd != 0 }
 
 // finish completes the current instruction after its fetch resolved,
 // possibly pausing at the data access.
-func (c *coreRunner) finish(sys *System) (*busNeed, error) {
+func (c *coreRunner) finish() (*busNeed, error) {
 	in, op := c.inst, c.op
 	if c.memLat == 0 { // data access not resolved yet
 		ids := max(c.ifd, c.prevEXs)
@@ -270,7 +320,8 @@ func (c *coreRunner) finish(sys *System) (*busNeed, error) {
 				c.memLat = int64(c.cfg.L1D.HitLatency)
 			} else {
 				c.stats.L1DMisses++
-				return &busNeed{addr: addr, at: max(c.mems, c.portFree), ph: phMem}, nil
+				c.need = busNeed{addr: addr, at: max(c.mems, c.portFree), ph: phMem}
+				return &c.need, nil
 			}
 		} else {
 			c.memLat = 1
@@ -307,8 +358,16 @@ func (c *coreRunner) finish(sys *System) (*busNeed, error) {
 	return nil, nil
 }
 
-// resume completes a bus transaction that finished at doneAt.
+// resume completes a bus transaction that finished at doneAt, or a
+// fixed-cost core's port request granted at doneAt.
 func (c *coreRunner) resume(need *busNeed, doneAt int64) {
+	if f := c.cfg.Fixed; f != nil {
+		c.stats.Cycles = doneAt + f.Hold
+		if need.ph == phMem {
+			c.stats.Cycles += f.Mem
+		}
+		return
+	}
 	c.portFree = doneAt
 	switch need.ph {
 	case phFetch:
@@ -326,16 +385,6 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 	if len(sys.Cores) == 0 {
 		return nil, fmt.Errorf("sim: no cores")
 	}
-	// Cores behind a bus share one memory controller; without an
-	// arbiter each core has a private path down to its own device.
-	ctrls := make([]*memctrl.Controller, len(sys.Cores))
-	for i := range ctrls {
-		if sys.Bus != nil && i > 0 {
-			ctrls[i] = ctrls[0]
-		} else {
-			ctrls[i] = memctrl.New(sys.Mem)
-		}
-	}
 	var bus arbiter.Session
 	if sys.Bus != nil {
 		bus = sys.Bus.NewSession()
@@ -344,43 +393,52 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 	if sys.L2 != nil && sys.SharedL2 {
 		sharedL2 = cache.NewLRU(*sys.L2)
 	}
+	var mem *memctrl.Controller
 	runners := make([]*coreRunner, len(sys.Cores))
 	pending := make([]*busNeed, len(sys.Cores))
 	for i, cc := range sys.Cores {
 		r := &coreRunner{id: i, cfg: cc, arch: isa.NewState(cc.Prog), maxCycles: maxCycles}
-		r.ops = pipeline.CompileOps(cc.Prog.Insts)
-		r.lt = cc.Pipe.Latencies()
-		r.l1i = cache.NewLRU(cc.L1I)
-		r.l1d = cache.NewLRU(cc.L1D)
-		switch {
-		case sys.L2 == nil:
-		case sys.SharedL2:
-			r.l2 = sharedL2
-		case cc.L2 != nil:
-			r.l2 = cache.NewLRU(*cc.L2)
-		default:
-			r.l2 = cache.NewLRU(*sys.L2)
-		}
 		for reg, v := range cc.InitRegs {
 			if reg > 0 && reg < isa.NumRegs {
 				r.arch.Reg[reg] = v
 			}
 		}
-		// Warm in core order (deterministic, including a shared L2).
-		for _, a := range cc.WarmI {
-			r.l1i.Access(a)
-			if r.l2 != nil {
-				r.l2.Access(a)
+		if cc.Fixed == nil {
+			// Cores behind a bus share one memory controller; without an
+			// arbiter each core has a private path down to its own device.
+			if bus == nil || mem == nil {
+				mem = memctrl.New(sys.Mem)
 			}
-		}
-		for _, a := range cc.WarmD {
-			r.l1d.Access(a)
-			if r.l2 != nil {
-				r.l2.Access(a)
+			r.mem = mem
+			r.ops = pipeline.CompileOps(cc.Prog.Insts)
+			r.lt = cc.Pipe.Latencies()
+			r.l1i = cache.NewLRU(cc.L1I)
+			r.l1d = cache.NewLRU(cc.L1D)
+			switch {
+			case sys.L2 == nil:
+			case sys.SharedL2:
+				r.l2 = sharedL2
+			case cc.L2 != nil:
+				r.l2 = cache.NewLRU(*cc.L2)
+			default:
+				r.l2 = cache.NewLRU(*sys.L2)
+			}
+			// Warm in core order (deterministic, including a shared L2).
+			for _, a := range cc.WarmI {
+				r.l1i.Access(a)
+				if r.l2 != nil {
+					r.l2.Access(a)
+				}
+			}
+			for _, a := range cc.WarmD {
+				r.l1d.Access(a)
+				if r.l2 != nil {
+					r.l2.Access(a)
+				}
 			}
 		}
 		runners[i] = r
-		need, err := r.run(&sys)
+		need, err := r.run()
 		if err != nil {
 			return nil, err
 		}
@@ -406,31 +464,33 @@ func Run(sys System, maxCycles int64) (*Result, error) {
 			return nil, fmt.Errorf("sim: core %d exceeded %d cycles", sel, maxCycles)
 		}
 		grant := need.at
-		if bus != nil {
+		if bus != nil && need.ph != phFree {
 			grant = bus.Request(sel, need.at)
 		}
-		wait := grant - need.at
-		r.stats.BusTrans++
-		r.stats.BusWaitSum += wait
-		if wait > r.stats.BusWaitMax {
-			r.stats.BusWaitMax = wait
-		}
-		// Service: L2 lookup then memory on miss.
-		var done int64
-		if r.l2 != nil {
-			afterL2 := grant + int64(r.l2.Config().HitLatency)
-			if r.l2.Access(need.addr) {
-				r.stats.L2Hits++
-				done = afterL2
-			} else {
-				r.stats.L2Misses++
-				done = ctrls[sel].Access(need.addr, afterL2)
+		done := grant // a fixed-cost core completes in resume, from its grant
+		if r.cfg.Fixed == nil {
+			wait := grant - need.at
+			r.stats.BusTrans++
+			r.stats.BusWaitSum += wait
+			if wait > r.stats.BusWaitMax {
+				r.stats.BusWaitMax = wait
 			}
-		} else {
-			done = ctrls[sel].Access(need.addr, grant)
+			// Service: L2 lookup then memory on miss.
+			if r.l2 != nil {
+				afterL2 := grant + int64(r.l2.Config().HitLatency)
+				if r.l2.Access(need.addr) {
+					r.stats.L2Hits++
+					done = afterL2
+				} else {
+					r.stats.L2Misses++
+					done = r.mem.Access(need.addr, afterL2)
+				}
+			} else {
+				done = r.mem.Access(need.addr, grant)
+			}
 		}
 		r.resume(need, done)
-		next, err := r.run(&sys)
+		next, err := r.run()
 		if err != nil {
 			return nil, err
 		}

@@ -542,3 +542,86 @@ func TestStatspopulated(t *testing.T) {
 		t.Errorf("L2 lookups %d != bus transactions %d", s.L2Hits+s.L2Misses, s.BusTrans)
 	}
 }
+
+// TestFixedCostCores pins the fixed-cost core on a hand-timed run. Two
+// cores share a round-robin port of latency 2 that every instruction
+// requests (the Barre shape, Hold 2, Mem 10): core 0's load wins the
+// cycle-0 tie and holds the port to cycle 2, so core 1's li is granted
+// at 2, its halt at 4, and core 0's halt at 12, after the load's memory
+// latency. A third core issues every 6 cycles from cycle 3 without ever
+// touching the port (the PRET shape with no memory operation). Port
+// waits are not bus transactions.
+func TestFixedCostCores(t *testing.T) {
+	fu := &FixedCost{AllPort: true, Hold: 2, Mem: 10}
+	sys := System{
+		Bus: arbiter.NewRoundRobin(3, 2),
+		Cores: []CoreConfig{
+			{Name: "ld", Prog: isa.MustAssemble("ld", "ld r2, 0(r0)\nhalt"), Fixed: fu},
+			{Name: "li", Prog: isa.MustAssemble("li", "li r2, 1\nhalt"), Fixed: fu},
+			{Name: "slot", Prog: isa.MustAssemble("slot", "li r2, 1\nli r3, 2\nhalt"),
+				Fixed: &FixedCost{Start: 3, Issue: 6, Mem: 10}},
+		},
+	}
+	res, err := Run(sys, 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int64{14, 6, 21} {
+		st := res.Stats[i]
+		if st.Cycles != want || st.Retired == 0 || st.BusTrans != 0 || st.BusWaitMax != 0 {
+			t.Errorf("core %d: %+v, want %d cycles and no bus transactions", i, st, want)
+		}
+	}
+}
+
+// TestFixedCostCycleLimit: the cycle budget stops a non-halting
+// fixed-cost core whether or not it ever requests the port.
+func TestFixedCostCycleLimit(t *testing.T) {
+	spin := isa.MustAssemble("spin", "loop: j loop")
+	for _, fixed := range []*FixedCost{{Issue: 6}, {AllPort: true, Hold: 2}} {
+		sys := System{Bus: arbiter.NewRoundRobin(1, 2), Cores: []CoreConfig{{Name: "spin", Prog: spin, Fixed: fixed}}}
+		if _, err := Run(sys, 5_000); err == nil || !strings.Contains(err.Error(), "exceeded 5000 cycles") {
+			t.Errorf("%+v: err = %v, want the cycle budget", *fixed, err)
+		}
+	}
+}
+
+// TestTransactionsDoNotAllocate: a run allocates the same whatever the
+// number of port or bus transactions it serves.
+func TestTransactionsDoNotAllocate(t *testing.T) {
+	loop := func(n int) *isa.Program {
+		return isa.MustAssemble("memloop", fmt.Sprintf(`
+        li   r1, %d
+        li   r3, 0x8000
+loop:   ld   r2, 0(r3)
+        addi r3, r3, 64
+        addi r1, r1, -1
+        bne  r1, r0, loop
+        halt`, n))
+	}
+	systems := map[string]func(*isa.Program) System{
+		"fixed": func(p *isa.Program) System {
+			fu := &FixedCost{AllPort: true, Hold: 2, Mem: 10}
+			return System{Bus: arbiter.NewRoundRobin(2, 2), Cores: []CoreConfig{
+				{Name: "a", Prog: p, Fixed: fu}, {Name: "b", Prog: p, Fixed: fu},
+			}}
+		},
+		"pipelined": func(p *isa.Program) System {
+			return System{Bus: arbiter.NewRoundRobin(2, 40), Mem: testMemCfg(),
+				Cores: []CoreConfig{simCore("a", p), simCore("b", p)}}
+		},
+	}
+	for _, name := range []string{"fixed", "pipelined"} {
+		allocs := func(n int) float64 {
+			sys := systems[name](loop(n))
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Run(sys, 10_000_000); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(4), allocs(400); short != long {
+			t.Errorf("%s: %v allocations at 4 iterations, %v at 400", name, short, long)
+		}
+	}
+}

@@ -12,16 +12,23 @@
 //     giving each thread a workload-independent issue-delay bound — in
 //     contrast to a shared-queue SMT, where a co-runner can block a
 //     thread for an unbounded time.
+//
+// The PRET and Barre cores simulate on sim.Run: System builds each as a
+// machine of fixed-cost cores (sim.FixedCost) sharing one arbitrated port.
 package smt
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 
 	"paratime/internal/arbiter"
 	"paratime/internal/cfg"
+	"paratime/internal/core"
 	"paratime/internal/flow"
 	"paratime/internal/ipet"
 	"paratime/internal/isa"
+	"paratime/internal/sim"
 )
 
 // --- PRET ------------------------------------------------------------------
@@ -36,29 +43,12 @@ type PretConfig struct {
 	MemLatency  int
 }
 
-// DefaultPret is the classic six-thread PRET arrangement.
-func DefaultPret() PretConfig { return PretConfig{Threads: 6, WheelWindow: 26, MemLatency: 20} }
-
 // Validate checks the geometry. The wheel window must fit one access.
 func (c PretConfig) Validate() error {
 	if c.Threads <= 0 || c.WheelWindow < c.MemLatency || c.MemLatency <= 0 {
 		return fmt.Errorf("smt: bad PRET config %+v", c)
 	}
 	return nil
-}
-
-// wheel returns the arbiter modelling this configuration's memory wheel.
-func (c PretConfig) wheel() *arbiter.TDMA {
-	return arbiter.NewWheel(c.Threads, c.WheelWindow)
-}
-
-// instSlots returns how many of its own slots an instruction occupies
-// before its long-latency part (replay model: the instruction holds its
-// slot each round until complete).
-func (c PretConfig) instCycles(in isa.Inst) int64 {
-	// One slot per instruction; the round length is the per-instruction
-	// cycle cost seen by a single thread.
-	return int64(c.Threads)
 }
 
 // AnalyzeWCET computes a thread's WCET bound on the PRET core: every
@@ -70,9 +60,9 @@ func (c PretConfig) AnalyzeWCET(prog *isa.Program, facts *flow.Facts) (int64, er
 	if err := c.Validate(); err != nil {
 		return 0, err
 	}
-	wheelBound := int64(c.wheel().Bound(0)) // same for every thread
+	wheelBound := int64(arbiter.NewWheel(c.Threads, c.WheelWindow).Bound(0)) // same for every thread
 	return boundWCET(prog, facts, func(in isa.Inst) int64 {
-		cost := c.instCycles(in)
+		cost := int64(c.Threads) // one slot, i.e. one round, per instruction
 		if in.IsMem() {
 			cost += wheelBound + int64(c.MemLatency)
 		}
@@ -117,49 +107,31 @@ func boundWCET(prog *isa.Program, facts *flow.Facts, instCost func(isa.Inst) int
 	return res.WCET, nil
 }
 
-// SimulatePret executes the given threads on the interleaved core and
-// returns each thread's completion cycle. Thread i's timing depends only
-// on its own instruction stream and its fixed slot/wheel phase — the
-// function never reads one thread's state while timing another, which is
-// exactly the hardware property PRET pays throughput for.
-func (c PretConfig) SimulatePret(progs []*isa.Program, maxSteps uint64) ([]int64, error) {
+// System is the PRET core as a sim machine: thread i runs tasks[i] on a
+// fixed-cost core that issues one instruction per round of Threads
+// cycles from its slot at cycle i; a memory operation waits for the
+// thread's wheel window, then takes MemLatency. The wheel keeps state
+// per thread only, so no thread's timing depends on another's.
+func (c PretConfig) System(tasks ...core.Task) sim.System {
+	s := sim.System{Bus: arbiter.NewWheel(c.Threads, c.WheelWindow)}
+	for i, t := range tasks {
+		s.Cores = append(s.Cores, sim.CoreConfig{Name: t.Name, Prog: t.Prog, Fixed: &sim.FixedCost{
+			Start: int64(i), Issue: int64(c.Threads), Mem: int64(c.MemLatency)}})
+	}
+	return s
+}
+
+// SimulatePret runs progs on System's machine and returns each thread's
+// completion cycle. It is kept only for perfbench's replay, until
+// ROADMAP item 5 deletes it.
+func (c PretConfig) SimulatePret(progs []*isa.Program, maxCycles uint64) ([]int64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	if len(progs) > c.Threads {
 		return nil, fmt.Errorf("smt: %d programs on %d hardware threads", len(progs), c.Threads)
 	}
-	out := make([]int64, len(progs))
-	for tid, p := range progs {
-		if p == nil {
-			continue
-		}
-		wheel := c.wheel().NewSession()
-		st := isa.NewState(p)
-		now := int64(tid) // thread's first slot
-		var steps uint64
-		for !st.Halted {
-			if steps >= maxSteps {
-				return nil, fmt.Errorf("smt: thread %d exceeded %d steps", tid, maxSteps)
-			}
-			idx := p.Index(st.PC)
-			if idx < 0 {
-				return nil, fmt.Errorf("smt: thread %d PC 0x%x outside text", tid, st.PC)
-			}
-			in := p.Insts[idx]
-			now += c.instCycles(in)
-			if in.IsMem() {
-				grant := wheel.Request(tid, now)
-				now = grant + int64(c.MemLatency)
-			}
-			if err := st.Step(); err != nil {
-				return nil, err
-			}
-			steps++
-		}
-		out[tid] = now
-	}
-	return out, nil
+	return simulate(c.System, progs, maxCycles)
 }
 
 // --- CarCore ---------------------------------------------------------------
@@ -253,69 +225,54 @@ func (c BarreConfig) AnalyzeWCET(prog *isa.Program, facts *flow.Facts) (int64, e
 	})
 }
 
-// SimulateBarre runs K threads sharing one FU under round-robin
-// arbitration with partitioned queues and returns per-thread completion
-// cycles. Each thread issues its next instruction as soon as the FU
-// grants it; grants serialize through an arbiter with the FU occupancy
-// as its latency.
-func (c BarreConfig) SimulateBarre(progs []*isa.Program, maxSteps uint64) ([]int64, error) {
+// System is the partitioned-queue core as a sim machine: thread i runs
+// tasks[i] on a fixed-cost core whose every instruction holds the
+// round-robin function unit FULatency cycles from its grant, plus
+// MemLatency for a memory operation.
+func (c BarreConfig) System(tasks ...core.Task) sim.System {
+	s := sim.System{Bus: arbiter.NewRoundRobin(c.Threads, c.FULatency)}
+	fu := &sim.FixedCost{AllPort: true, Hold: int64(c.FULatency), Mem: int64(c.MemLatency)}
+	for _, t := range tasks {
+		s.Cores = append(s.Cores, sim.CoreConfig{Name: t.Name, Prog: t.Prog, Fixed: fu})
+	}
+	return s
+}
+
+// SimulateBarre runs progs on System's machine and returns each
+// thread's completion cycle. It is kept only for perfbench's replay,
+// until ROADMAP item 5 deletes it.
+func (c BarreConfig) SimulateBarre(progs []*isa.Program, maxCycles uint64) ([]int64, error) {
 	if len(progs) == 0 || len(progs) > c.Threads {
 		return nil, fmt.Errorf("smt: %d programs on %d threads", len(progs), c.Threads)
 	}
-	fu := arbiter.NewRoundRobin(c.Threads, c.FULatency).NewSession()
-	type thread struct {
-		st    *isa.State
-		ready int64
-		done  bool
+	return simulate(c.System, progs, maxCycles)
+}
+
+// simulate runs progs on the machine system builds and returns each
+// thread's completion cycle. A nil program, an empty PRET thread, runs
+// as a lone halt, which never requests the wheel, and reports 0.
+func simulate(system func(...core.Task) sim.System, progs []*isa.Program, maxCycles uint64) ([]int64, error) {
+	out := make([]int64, len(progs))
+	if len(progs) == 0 {
+		return out, nil
 	}
-	ths := make([]*thread, len(progs))
+	tasks := make([]core.Task, len(progs))
 	for i, p := range progs {
-		ths[i] = &thread{st: isa.NewState(p)}
+		tasks[i].Prog = cmp.Or(p, idleThread)
 	}
-	var steps uint64
-	for {
-		// Pick the ready thread with the smallest ready time.
-		sel := -1
-		for i, th := range ths {
-			if th.done {
-				continue
-			}
-			if sel < 0 || th.ready < ths[sel].ready {
-				sel = i
-			}
-		}
-		if sel < 0 {
-			break
-		}
-		th := ths[sel]
-		if steps >= maxSteps {
-			return nil, fmt.Errorf("smt: exceeded %d steps", maxSteps)
-		}
-		idx := th.st.Prog.Index(th.st.PC)
-		if idx < 0 {
-			return nil, fmt.Errorf("smt: thread %d bad PC", sel)
-		}
-		in := th.st.Prog.Insts[idx]
-		grant := fu.Request(sel, th.ready)
-		end := grant + int64(c.FULatency)
-		if in.IsMem() {
-			end += int64(c.MemLatency)
-		}
-		if err := th.st.Step(); err != nil {
-			return nil, err
-		}
-		steps++
-		th.ready = end
-		if th.st.Halted {
-			th.done = true
-		}
+	res, err := sim.Run(system(tasks...), int64(min(maxCycles, math.MaxInt64)))
+	if err != nil {
+		return nil, err
 	}
-	out := make([]int64, len(ths))
-	for i, th := range ths {
-		out[i] = th.ready
+	for i, p := range progs {
+		if p != nil {
+			out[i] = res.Cycles(i)
+		}
 	}
 	return out, nil
 }
+
+var idleThread = isa.MustAssemble("idle", "halt")
 
 // SharedQueueStarvation quantifies why shared instruction queues defeat
 // WCET analysis (§2.2, §4.2): a co-runner stalled on a long-latency

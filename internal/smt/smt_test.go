@@ -1,10 +1,14 @@
-package smt
+package smt_test
 
 import (
 	"testing"
 
 	"paratime/internal/isa"
+	"paratime/internal/smt"
 )
+
+// defaultPret is the classic six-thread PRET arrangement.
+func defaultPret() smt.PretConfig { return smt.PretConfig{Threads: 6, WheelWindow: 26, MemLatency: 20} }
 
 func countdown(n int) *isa.Program {
 	b := isa.NewBuilder("countdown")
@@ -30,7 +34,7 @@ func memLoop(n int) *isa.Program {
 }
 
 func TestPretWCETBoundsSim(t *testing.T) {
-	pc := DefaultPret()
+	pc := defaultPret()
 	for _, p := range []*isa.Program{countdown(30), memLoop(20)} {
 		bound, err := pc.AnalyzeWCET(p, nil)
 		if err != nil {
@@ -49,7 +53,7 @@ func TestPretWCETBoundsSim(t *testing.T) {
 // TestPretIndependence is E15's core claim: a PRET thread's simulated
 // timing is bit-identical under every co-runner mix.
 func TestPretIndependence(t *testing.T) {
-	pc := DefaultPret()
+	pc := defaultPret()
 	victim := memLoop(25)
 	mixes := [][]*isa.Program{
 		{victim},
@@ -72,11 +76,11 @@ func TestPretIndependence(t *testing.T) {
 }
 
 func TestPretValidation(t *testing.T) {
-	bad := PretConfig{Threads: 2, WheelWindow: 5, MemLatency: 10}
+	bad := smt.PretConfig{Threads: 2, WheelWindow: 5, MemLatency: 10}
 	if err := bad.Validate(); err == nil {
 		t.Error("window smaller than access accepted")
 	}
-	pc := DefaultPret()
+	pc := defaultPret()
 	if _, err := pc.SimulatePret(make([]*isa.Program, 7), 100); err == nil {
 		t.Error("more programs than threads accepted")
 	}
@@ -90,7 +94,7 @@ func TestCarCoreHRTUnaffected(t *testing.T) {
 		{countdown(10)},
 		{countdown(1000), memLoop(500), countdown(31)},
 	} {
-		res, err := SimulateCarCore(solo, retired, nhrts, 1_000_000)
+		res, err := smt.SimulateCarCore(solo, retired, nhrts, 1_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +105,7 @@ func TestCarCoreHRTUnaffected(t *testing.T) {
 }
 
 func TestCarCoreNHRTProgress(t *testing.T) {
-	res, err := SimulateCarCore(10_000, 2_000, []*isa.Program{countdown(100), countdown(100)}, 1_000_000)
+	res, err := smt.SimulateCarCore(10_000, 2_000, []*isa.Program{countdown(100), countdown(100)}, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +120,13 @@ func TestCarCoreNHRTProgress(t *testing.T) {
 }
 
 func TestCarCoreRejectsBadInput(t *testing.T) {
-	if _, err := SimulateCarCore(10, 20, nil, 100); err == nil {
+	if _, err := smt.SimulateCarCore(10, 20, nil, 100); err == nil {
 		t.Error("retired > cycles accepted")
 	}
 }
 
 func TestBarreWCETBoundsSim(t *testing.T) {
-	cfg := BarreConfig{Threads: 4, FULatency: 2, MemLatency: 10}
+	cfg := smt.BarreConfig{Threads: 4, FULatency: 2, MemLatency: 10}
 	progs := []*isa.Program{countdown(40), memLoop(30), countdown(17), memLoop(8)}
 	times, err := cfg.SimulateBarre(progs, 1_000_000)
 	if err != nil {
@@ -140,7 +144,7 @@ func TestBarreWCETBoundsSim(t *testing.T) {
 }
 
 func TestBarreIssueBound(t *testing.T) {
-	cfg := BarreConfig{Threads: 4, FULatency: 3, MemLatency: 10}
+	cfg := smt.BarreConfig{Threads: 4, FULatency: 3, MemLatency: 10}
 	if cfg.IssueBound() != 9 {
 		t.Errorf("issue bound = %d, want (K-1)*L = 9", cfg.IssueBound())
 	}
@@ -150,14 +154,14 @@ func TestSharedQueueStarvationUnbounded(t *testing.T) {
 	// The victim's delay grows with the co-runner's stall length: no
 	// workload-independent bound exists (the survey's argument for
 	// partitioned queues).
-	d1 := SharedQueueStarvation(4, 10, 100)
-	d2 := SharedQueueStarvation(4, 10, 10_000)
+	d1 := smt.SharedQueueStarvation(4, 10, 100)
+	d2 := smt.SharedQueueStarvation(4, 10, 10_000)
 	if d2 <= d1 {
 		t.Errorf("starvation should scale with co-runner stalls: %d vs %d", d1, d2)
 	}
 	// Contrast: the Barre issue bound is independent of co-runner
 	// behaviour by definition (it is a constant of the configuration).
-	cfg := BarreConfig{Threads: 4, FULatency: 3, MemLatency: 10}
+	cfg := smt.BarreConfig{Threads: 4, FULatency: 3, MemLatency: 10}
 	if cfg.IssueBound() != (cfg.Threads-1)*cfg.FULatency {
 		t.Error("issue bound depends on nothing but the configuration")
 	}

@@ -13,7 +13,6 @@ import (
 	"paratime/internal/engine"
 	"paratime/internal/explore"
 	"paratime/internal/interfere"
-	"paratime/internal/isa"
 	"paratime/internal/memctrl"
 	"paratime/internal/parallel"
 	"paratime/internal/partition"
@@ -22,12 +21,9 @@ import (
 	"paratime/internal/smt"
 )
 
-// Default simulation limits when SimSpec.MaxCycles is zero.
-const (
-	defaultSimCycles = 500_000_000
-	defaultSMTSteps  = 10_000_000
-	defaultPretSteps = 50_000_000
-)
+// defaultSimCycles bounds each simulation when SimSpec.MaxCycles is
+// zero.
+const defaultSimCycles = 500_000_000
 
 // Report is the structured result of running one Scenario. It encodes to
 // JSON (Encode) and renders as text (Fprint), and carries the same
@@ -194,7 +190,6 @@ type mode struct {
 	// machines builds the simulated machines sim and explore run on,
 	// under the sharing regime the analysis assumed; nil if none.
 	machines func(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memctrl.Config) ([]machine, error)
-	ownSim   bool // run checks the bounds on the mode's own simulator
 }
 
 // modes is the mode table, one row per kind and the only list of
@@ -206,8 +201,8 @@ var modes = []mode{
 	{kind: KindPartition, payloads: []string{"partition"}, needsL2: true, run: runPartition, machines: partitionMachines},
 	{kind: KindLock, payloads: []string{"lock"}, needsL2: true, run: runLock},
 	{kind: KindBus, payloads: []string{"bus"}, run: runBus, machines: busMachines},
-	{kind: KindSMT, payloads: []string{"smt"}, run: runSMT, ownSim: true},
-	{kind: KindPRET, payloads: []string{"pret"}, run: runPret, ownSim: true},
+	{kind: KindSMT, payloads: []string{"smt"}, run: runSMT, machines: smtMachines},
+	{kind: KindPRET, payloads: []string{"pret"}, run: runPret, machines: pretMachines},
 }
 
 // modeOf returns the table row of kind, or nil for an unknown kind.
@@ -335,6 +330,17 @@ func busMachines(s *Scenario, tasks []core.Task, sys core.SystemConfig, mem memc
 	return coRun(sim.FromConfig(sys, mem, buildArbiter(s), false, tasks...)), nil
 }
 
+// smtMachines co-runs the threads on the partitioned-queue core, thread
+// i on hardware thread i.
+func smtMachines(s *Scenario, tasks []core.Task, _ core.SystemConfig, _ memctrl.Config) ([]machine, error) {
+	return coRun(barreConfig(s).System(tasks...)), nil
+}
+
+// pretMachines co-runs the threads on the PRET core, thread i in slot i.
+func pretMachines(s *Scenario, tasks []core.Task, _ core.SystemConfig, _ memctrl.Config) ([]machine, error) {
+	return coRun(pretConfig(s).System(tasks...)), nil
+}
+
 // coRun wraps a co-run system as the one machine of a scenario, core i
 // running task i.
 func coRun(sys sim.System) []machine {
@@ -372,7 +378,7 @@ func runSim(ctx context.Context, s *Scenario, eng *engine.Engine, ms []machine, 
 // analysis filled rep.Tasks, attaching exact_worst, tightness and a
 // witness per task plus the exploration summary. It explores each
 // machine in turn: each task alone in mode solo, the full co-run in
-// joint, partition and bus.
+// every other mode.
 func runExplore(s *Scenario, tasks []core.Task, workers int, ms []machine, rep *Report) error {
 	e := s.Explore
 	b := explore.Budget{
@@ -606,55 +612,37 @@ func runBus(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.T
 	return nil
 }
 
+func barreConfig(s *Scenario) smt.BarreConfig {
+	return smt.BarreConfig{Threads: s.Mode.SMT.Threads, FULatency: s.Mode.SMT.FULatency, MemLatency: s.Mode.SMT.MemLatency}
+}
+
+func pretConfig(s *Scenario) smt.PretConfig {
+	return smt.PretConfig{Threads: s.Mode.PRET.Threads, WheelWindow: s.Mode.PRET.WheelWindow, MemLatency: s.Mode.PRET.MemLatency}
+}
+
 func runSMT(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, _ core.SystemConfig, rep *Report) error {
-	cfg := smt.BarreConfig{Threads: s.Mode.SMT.Threads, FULatency: s.Mode.SMT.FULatency, MemLatency: s.Mode.SMT.MemLatency}
-	bound := func(i int) (int64, error) { return cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts) }
-	return runThreads(ctx, s, eng, tasks, rep, bound, cfg.SimulateBarre, defaultSMTSteps)
+	cfg := barreConfig(s)
+	return runThreads(ctx, eng, tasks, rep, func(i int) (int64, error) { return cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts) })
 }
 
 func runPret(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, _ core.SystemConfig, rep *Report) error {
-	cfg := smt.PretConfig{Threads: s.Mode.PRET.Threads, WheelWindow: s.Mode.PRET.WheelWindow, MemLatency: s.Mode.PRET.MemLatency}
-	bound := func(i int) (int64, error) {
+	cfg := pretConfig(s)
+	return runThreads(ctx, eng, tasks, rep, func(i int) (int64, error) {
 		b, err := cfg.AnalyzeWCET(tasks[i].Prog, tasks[i].Facts)
 		// Thread i's first pipeline slot arrives at cycle i, so its
 		// completion time includes that fixed phase offset on top of the
 		// phase-independent per-thread bound.
 		return b + int64(i), err
-	}
-	return runThreads(ctx, s, eng, tasks, rep, bound, cfg.SimulatePret, defaultPretSteps)
+	})
 }
 
 // runThreads reports the per-thread bounds of a multithreaded core,
-// computed in parallel by bound, and with a sim block checks them on
-// the core's own simulator.
-func runThreads(ctx context.Context, s *Scenario, eng *engine.Engine, tasks []core.Task, rep *Report,
-	bound func(i int) (int64, error), simulate func([]*isa.Program, uint64) ([]int64, error), steps int64) error {
-	bounds := make([]int64, len(tasks))
-	err := parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
-		var err error
-		bounds[i], err = bound(i)
+// computed in parallel by bound.
+func runThreads(ctx context.Context, eng *engine.Engine, tasks []core.Task, rep *Report, bound func(i int) (int64, error)) error {
+	rep.Tasks = make([]TaskReport, len(tasks))
+	return parallel.For(ctx, eng.Workers(), len(tasks), func(i int) error {
+		b, err := bound(i)
+		rep.Tasks[i] = TaskReport{Name: tasks[i].Name, WCET: b}
 		return err
 	})
-	if err != nil {
-		return err
-	}
-	progs := make([]*isa.Program, len(tasks))
-	for i, t := range tasks {
-		rep.Tasks = append(rep.Tasks, TaskReport{Name: t.Name, WCET: bounds[i]})
-		progs[i] = t.Prog
-	}
-	if s.Sim == nil {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	times, err := simulate(progs, uint64(simLimit(s, steps)))
-	if err != nil {
-		return err
-	}
-	for i, t := range rep.Tasks {
-		rep.Sim = append(rep.Sim, SimReport{Name: t.Name, Cycles: times[i], Sound: t.WCET >= times[i]})
-	}
-	return nil
 }

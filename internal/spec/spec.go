@@ -51,7 +51,7 @@ type Scenario struct {
 	// every declared input assignment and initial cache state is priced
 	// in simulation, and the report gains exact_worst and tightness
 	// (= exact_worst / static bound) per task, with a replayable
-	// witness. Modes solo, joint, partition and bus only.
+	// witness. Every mode but lock.
 	Explore *ExploreSpec `json:"explore,omitempty"`
 }
 
@@ -377,10 +377,10 @@ func (s *Scenario) validateExplore() error {
 // uncontended memory paths (a fixed system BusDelay is a bound in the
 // analysis, not a simulated device); partition co-runs the tasks with
 // each core restricted to a private view of its L2 partition (the
-// isolation the analysis assumes); smt and pret drive their dedicated
-// core models. MaxCycles bounds each simulation (0 selects a default);
-// for smt and pret it bounds instruction steps instead. Lock mode does
-// not simulate (the simulator has no lockable cache).
+// isolation the analysis assumes); smt and pret co-run the threads on
+// fixed-cost cores sharing the function unit or memory wheel. MaxCycles
+// bounds each simulation in cycles, in every mode (0 selects a
+// default). Lock mode does not simulate (no lockable cache).
 type SimSpec struct {
 	MaxCycles int64 `json:"maxCycles,omitempty"`
 }
@@ -769,7 +769,7 @@ func (s *Scenario) validateSim() error {
 	if s.Sim.MaxCycles < 0 {
 		return fmt.Errorf("spec: negative sim maxCycles")
 	}
-	if m := modeOf(s.Mode.Kind); m == nil || (m.machines == nil && !m.ownSim) {
+	if m := modeOf(s.Mode.Kind); m == nil || m.machines == nil {
 		return fmt.Errorf("spec: sim validation is not supported in mode %q; remove the sim block", s.Mode.Kind)
 	}
 	return nil

@@ -33,6 +33,11 @@ func sampleScenarios(t *testing.T) []*Scenario {
 	}
 	busExp := mk("bus-explore", pair, ModeSpec{Kind: KindBus, Bus: &BusSpec{Policy: BusRoundRobin}}, nil)
 	busExp.Explore = &ExploreSpec{InitStates: 2}
+	// smt and pret run on machines, so they take sim and explore blocks.
+	smtExp := mk("smt", pair, ModeSpec{Kind: KindSMT, SMT: &SMTSpec{Threads: 4, FULatency: 2, MemLatency: 10}}, &SimSpec{})
+	smtExp.Explore = &ExploreSpec{InitStates: 4}
+	pretExp := mk("pret", pair, ModeSpec{Kind: KindPRET, PRET: &PretSpec{Threads: 6, WheelWindow: 26, MemLatency: 20}}, &SimSpec{})
+	pretExp.Explore = &ExploreSpec{InitStates: 4}
 	return []*Scenario{
 		mk("solo", suite, ModeSpec{Kind: KindSolo}, &SimSpec{MaxCycles: 1_000_000}),
 		soloExp,
@@ -43,8 +48,8 @@ func sampleScenarios(t *testing.T) []*Scenario {
 		mk("part", pair, ModeSpec{Kind: KindPartition, Partition: &PartitionSpec{Scheme: PartTask}}, nil),
 		mk("lock", pair[:1], ModeSpec{Kind: KindLock, Lock: &LockSpec{Policy: LockStatic, BudgetLines: 16}}, nil),
 		mk("bus", pair, ModeSpec{Kind: KindBus, Bus: &BusSpec{Policy: BusRoundRobin}}, nil),
-		mk("smt", pair, ModeSpec{Kind: KindSMT, SMT: &SMTSpec{Threads: 4, FULatency: 2, MemLatency: 10}}, nil),
-		mk("pret", pair, ModeSpec{Kind: KindPRET, PRET: &PretSpec{Threads: 6, WheelWindow: 26, MemLatency: 20}}, nil),
+		smtExp,
+		pretExp,
 	}
 }
 
@@ -204,16 +209,11 @@ func TestValidationRejections(t *testing.T) {
 			s.Sim = &SimSpec{}
 		}, `spec: sim validation is not supported in mode "lock"; remove the sim block`},
 		{"bad cache geometry", func(s *Scenario) { s.System.L1I.Sets = 3 }, "powers of two"},
-		{"explore in smt mode", func(s *Scenario) {
-			s.Mode.Kind = KindSMT
-			s.Mode.SMT = &SMTSpec{Threads: 4, FULatency: 2, MemLatency: 10}
+		{"explore in lock mode", func(s *Scenario) {
+			s.Mode.Kind = KindLock
+			s.Mode.Lock = &LockSpec{Policy: LockStatic, BudgetLines: 4}
 			s.Explore = &ExploreSpec{}
-		}, `spec: explore is not supported in mode "smt" (supported: "solo", "joint", "partition", "bus")`},
-		{"explore in pret mode", func(s *Scenario) {
-			s.Mode.Kind = KindPRET
-			s.Mode.PRET = &PretSpec{Threads: 6, WheelWindow: 20, MemLatency: 20}
-			s.Explore = &ExploreSpec{}
-		}, `spec: explore is not supported in mode "pret" (supported: "solo", "joint", "partition", "bus")`},
+		}, `spec: explore is not supported in mode "lock" (supported: "solo", "joint", "partition", "bus", "smt", "pret")`},
 		{"explore unknown task", func(s *Scenario) {
 			s.Explore = &ExploreSpec{Inputs: []InputSpec{{Task: "ghost", Reg: "r1", Values: []int32{0}}}}
 		}, "unknown task"},
